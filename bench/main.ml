@@ -287,13 +287,12 @@ let ccp_dp_check ~jobs =
   (!mismatches, vs_rows, beyond_rows)
 
 (* ------------------------------------------------------------------ *)
-(* Subset-convolution solver vs the connected DP. Two regimes:
+(* The conv entrant vs the connected DP. Two regimes:
 
    - clique-ish graphs at matched n: nearly every subset is connected,
      so ccp's hashed connected-subset walk degenerates to the full
-     lattice plus hashing overhead, while conv's cardinality-layered
-     flat-array sweep pays no hashing at all — the asymptotic win the
-     bench must show;
+     lattice plus hashing overhead, while conv's lattice DP
+     (dp_no_cartesian, flat arrays) pays no hashing at all;
    - chain/tree past the old 61-relation single-word ceiling: the
      multi-word sparse regime, where a full-length join sequence is
      the invariant a broken enumeration would break first. *)
@@ -681,7 +680,6 @@ let serve_concurrent_json ~requests ~(config : Serve.config) rows =
       ("workload", Str "mixed: cache hits/misses, rejections, parse errors, junk, fallbacks");
       ("host_cores", Int (Domain.recommended_domain_count ()));
       ("cache_capacity", Int config.Serve.cache_capacity);
-      ("cache_shards", Int config.Serve.cache_shards);
       ("queue_capacity", Int config.Serve.queue_capacity);
       ("batch_size", Int config.Serve.batch_size);
       ( "rows",

@@ -507,7 +507,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Serve optimization requests (qon instances, line-delimited protocol) over \
-          stdin/stdout or a Unix socket, with a sharded plan cache and admission \
+          stdin/stdout or a Unix socket, with an LRU plan cache and admission \
           control. With --jobs N > 1 requests are pipelined across N-1 worker domains \
           behind a bounded queue; responses stay byte-identical to --jobs 1. In-band \
           #stats/#health/#hist control requests and --metrics-file heartbeats expose \

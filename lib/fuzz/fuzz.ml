@@ -49,7 +49,6 @@ module Checks (D : DOMAIN) = struct
   module O = Qo.Opt.Make (D.C)
   module P = Qo.Ccp.Make (D.C)
   module K = Qo.Ik.Make (D.C)
-  module V = Qo.Conv.Make (D.C)
 
   let tol = 1e-6
   let l2 = C.to_log2
@@ -280,20 +279,6 @@ module Checks (D : DOMAIN) = struct
           (Printf.sprintf "dp_no_cartesian %s <> dp_connected %s" (show a.O.cost)
              (show b.O.cost))
       else if a.O.seq <> b.O.seq then Fail "dp_no_cartesian / dp_connected sequences differ"
-      else Pass
-
-  (* genuinely differential: the convolution's dense regime is flat
-     mask-indexed layers, ccp is the hash-indexed connected sublattice —
-     independent code paths that must agree bit for bit *)
-  let conv_vs_ccp (inst : I.t) =
-    if inst.I.n > exact_cap then Skip "n > exact cap"
-    else
-      let a = V.solve inst in
-      let b = P.dp_connected inst in
-      if not (C.equal a.O.cost b.O.cost) then
-        Fail
-          (Printf.sprintf "conv %s <> dp_connected %s" (show a.O.cost) (show b.O.cost))
-      else if a.O.seq <> b.O.seq then Fail "conv / dp_connected sequences differ"
       else Pass
 
   (* drives the multi-word (Bitset) subset machinery at small n, where
@@ -591,7 +576,6 @@ let per_domain name fr fl =
 let handwritten_oracles =
   [
     per_domain "dp-vs-ccp" CR.dp_vs_ccp CL.dp_vs_ccp;
-    per_domain "conv-vs-ccp" CR.conv_vs_ccp CL.conv_vs_ccp;
     per_domain "ccp-words" CR.ccp_words CL.ccp_words;
     per_domain "dp-vs-exhaustive" CR.dp_vs_exhaustive CL.dp_vs_exhaustive;
     per_domain "dp-dominates" CR.dp_dominates CL.dp_dominates;

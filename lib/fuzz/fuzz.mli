@@ -46,9 +46,11 @@ type oracle = private {
 val oracles : oracle list
 (** The registry, in fixed order:
     [dp-vs-ccp] (lattice-vs-connected DP bit-identity, cost {e and}
-    sequence, infeasible included), [dp-vs-exhaustive] (small-n cost
-    agreement), [dp-dominates] (unconstrained DP never beaten by the
-    cartesian-free one), [ik-tree] (Ibaraki–Kameda optimal on trees),
+    sequence, infeasible included — also the [conv] entrant's two
+    kernels), [ccp-words] (single- vs multi-word connected DP),
+    [dp-vs-exhaustive] (small-n cost agreement), [dp-dominates]
+    (unconstrained DP never beaten by the cartesian-free one),
+    [ik-tree] (Ibaraki–Kameda optimal on trees),
     [rat-vs-log] (cost-domain agreement within tolerance, rational
     cases only), [oneshot-vs-served] (plan line through [qopt serve]
     byte-identical to the one-shot render), [served-seq-vs-par]

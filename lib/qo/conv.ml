@@ -1,224 +1,37 @@
-(** DPconv-style exact solver: max-plus (tropical) subset convolution
-    over the join-subset lattice (arXiv 2409.08013).
+(** The [conv] registry entrant: exact optimum over
+    cartesian-product-free join sequences, dispatched by size.
 
-    The cartesian-product-free recurrence
+    - [n <= dense_max_n]: {!Opt.Make.dp_no_cartesian}, the full
+      [2^n] subset lattice (counted under [opt.dp.*]);
+    - [dense_max_n < n <= max_conv_n]: {!Ccp.Make.dp_connected}, the
+      connected-subset sublattice (counted under [ccp.dp.*]; chains and
+      trees scale to [n] in the hundreds).
 
-    {v dp(S) = min_{j in S} dp(S \ {j}) + N(S \ {j}) * min_w(j, S \ {j}) v}
-
-    is a (min, +)-semiring product over the subset lattice: layer [k]
-    (all subsets of cardinality [k]) is the tropical convolution of
-    layer [k - 1] with the singleton-step kernel. [solve] evaluates it
-    rank by rank over two regimes:
-
-    - {b dense} ([n <= dense_max_n]): the full [2^n] lattice in flat
-      mask-indexed arrays, counting-sorted into popcount layers —
-      no hashing, no enumeration recursion, layer-parallel on
-      {!Pool}. On clique-ish graphs, where the connected-subset
-      lattice degenerates to the full lattice, this beats
-      {!Ccp.Make.dp_connected}'s hash-indexed walk at matched [n]
-      (see the [conv] section of BENCH_qopt.json).
-    - {b sparse} ([dense_max_n < n <= max_conv_n]): the convolution
-      restricted to the connected-subset sublattice — every feasible
-      prefix is connected, so all other lattice points carry the
-      semiring zero ([C.infinity]) and are skipped wholesale. This is
-      exactly {!Ccp.Make.dp_connected}'s table, so [solve] delegates
-      to it (multi-word subsets past [n = 61]; chains and trees scale
-      to [n] in the hundreds).
-
-    {b Equivalence guarantee.} [solve] is bit-identical (cost and
-    sequence) to {!Opt.Make.dp_no_cartesian} and
-    {!Ccp.Make.dp_connected} on every [n] all of them admit: the dense
-    regime replays the lattice DP's exact transition order
-    (lowest-bit-first size evaluation, ascending candidate scan,
-    strict improvement), and the sparse regime shares [Ccp]'s engine.
-    Enforced by the [conv-vs-ccp] differential fuzz oracle and
-    property tests in both cost domains. *)
-
-(* Shared across [Make] applications ([Obs.counter] is idempotent by
-   name). [conv.dense.*] count lattice points and transitions of the
-   dense regime only; sparse runs surface through [ccp.dp.*] plus
-   [conv.sparse.runs]. *)
-let c_runs = Obs.counter "conv.runs"
-let c_dense_subsets = Obs.counter "conv.dense.subsets_enumerated"
-let c_dense_transitions = Obs.counter "conv.dense.transitions"
-let c_sparse_runs = Obs.counter "conv.sparse.runs"
+    DPconv (arXiv 2409.08013) gets its speedup from fast subset
+    convolution on [C_max]; the paper's [QO_N] cost is a sum, so the
+    lattice DP is the convolution here and [conv] shares its code
+    rather than copying it. Bit-identical (cost and sequence) to both
+    kernels wherever they admit the instance. *)
 
 module Make (C : Cost.S) = struct
   module I = Nl.Make (C)
   module O = Opt.Make (C)
   module P = Ccp.Make (C)
 
-  (** Largest [n] evaluated on the dense full lattice ([= Opt.max_dp_n]:
-      [2^n] semiring elements must fit in flat arrays). *)
+  (** Largest [n] served by the full lattice ([= Opt.max_dp_n]). *)
   let dense_max_n = O.max_dp_n
 
-  (** Hard cap ([= Ccp.max_ccp_n]): beyond the dense regime the
-      convolution runs on the connected sublattice, whose multi-word
-      subsets cap there. *)
+  (** Hard cap ([= Ccp.max_ccp_n]). *)
   let max_conv_n = P.max_ccp_n
 
-  (* Dense regime: the rank-by-rank tropical convolution over the full
-     lattice. Bit-identical to [Opt.dp_generic ~no_cartesian:true] —
-     same size evaluation, candidate order, improvement rule — with
-     the lattice always counting-sorted into popcount layers (the
-     convolution's rank structure), sequential or pool-parallel. *)
-  let solve_dense ?pool (inst : I.t) n : O.plan =
-    let full = (1 lsl n) - 1 in
-    Obs.add c_dense_subsets (full + 1);
-    let graph = inst.I.graph in
-    let adj = Array.make n 0 in
-    for v = 0 to n - 1 do
-      Graphlib.Bitset.iter
-        (fun u -> adj.(v) <- adj.(v) lor (1 lsl u))
-        (Graphlib.Ugraph.neighbors graph v)
-    done;
-    let lowest_bit m = m land -m in
-    let bit_index b =
-      let i = ref 0 and v = ref b in
-      while !v land 1 = 0 do
-        incr i;
-        v := !v lsr 1
-      done;
-      !i
-    in
-    (* N(S): lowest-bit-first, the lattice DP's evaluation order *)
-    let sizes = Array.make (full + 1) C.one in
-    let fill_size s =
-      let b = lowest_bit s in
-      let v = bit_index b in
-      let rest = s lxor b in
-      let acc = ref (C.mul sizes.(rest) inst.I.sizes.(v)) in
-      let common = ref (rest land adj.(v)) in
-      let row = inst.I.sel.(v) in
-      while !common <> 0 do
-        let ub = lowest_bit !common in
-        acc := C.mul !acc row.(bit_index ub);
-        common := !common lxor ub
-      done;
-      sizes.(s) <- !acc
-    in
-    let min_w_mask j s =
-      let best = ref C.infinity in
-      let row = inst.I.w.(j) in
-      let m = ref s in
-      while !m <> 0 do
-        let b = lowest_bit !m in
-        let c = row.(bit_index b) in
-        if C.compare c !best < 0 then best := c;
-        m := !m lxor b
-      done;
-      !best
-    in
-    let dp = Array.make (full + 1) C.infinity in
-    let parent = Array.make (full + 1) (-1) in
-    for v = 0 to n - 1 do
-      dp.(1 lsl v) <- C.zero;
-      parent.(1 lsl v) <- v
-    done;
-    (* one lattice point of the layer-k convolution: combine every
-       rank-(k-1) predecessor in ascending candidate order *)
-    let fill_dp s =
-      let m = ref s in
-      let trans = ref 0 in
-      while !m <> 0 do
-        let b = lowest_bit !m in
-        let j = bit_index b in
-        let rest = s lxor b in
-        if rest land adj.(j) <> 0 && C.is_finite dp.(rest) then begin
-          incr trans;
-          let cand = C.add dp.(rest) (C.mul sizes.(rest) (min_w_mask j rest)) in
-          if C.compare cand dp.(s) < 0 then begin
-            dp.(s) <- cand;
-            parent.(s) <- j
-          end
-        end;
-        m := !m lxor b
-      done;
-      Obs.add c_dense_transitions !trans
-    in
-    (* counting sort into popcount layers: the rank decomposition of
-       the convolution *)
-    let popcount m =
-      let c = ref 0 and v = ref m in
-      while !v <> 0 do
-        incr c;
-        v := !v land (!v - 1)
-      done;
-      !c
-    in
-    let off = Array.make (n + 2) 0 in
-    for s = 0 to full do
-      let k = popcount s in
-      off.(k + 1) <- off.(k + 1) + 1
-    done;
-    for k = 1 to n + 1 do
-      off.(k) <- off.(k) + off.(k - 1)
-    done;
-    let cursor = Array.copy off in
-    let by_layer = Array.make (full + 1) 0 in
-    for s = 0 to full do
-      let k = popcount s in
-      by_layer.(cursor.(k)) <- s;
-      cursor.(k) <- cursor.(k) + 1
-    done;
-    (match pool with
-    | Some pool when Pool.jobs pool > 1 && n >= O.dp_parallel_min_n ->
-        for k = 1 to n do
-          Pool.parallel_for pool ~lo:off.(k) ~hi:(off.(k + 1) - 1) (fun idx ->
-              fill_size by_layer.(idx))
-        done;
-        for k = 2 to n do
-          let layer () =
-            Pool.parallel_for pool ~lo:off.(k) ~hi:(off.(k + 1) - 1) (fun idx ->
-                fill_dp by_layer.(idx))
-          in
-          if Obs.enabled () then Obs.span ("conv.dense.layer." ^ string_of_int k) layer
-          else layer ()
-        done
-    | _ ->
-        for k = 1 to n do
-          for idx = off.(k) to off.(k + 1) - 1 do
-            fill_size by_layer.(idx)
-          done
-        done;
-        for k = 2 to n do
-          let layer () =
-            for idx = off.(k) to off.(k + 1) - 1 do
-              fill_dp by_layer.(idx)
-            done
-          in
-          if Obs.enabled () then Obs.span ("conv.dense.layer." ^ string_of_int k) layer
-          else layer ()
-        done);
-    if not (C.is_finite dp.(full)) then { O.cost = C.infinity; seq = [||] }
-    else begin
-      let seq = Array.make n (-1) in
-      let s = ref full in
-      for pos = n - 1 downto 0 do
-        let j = parent.(!s) in
-        seq.(pos) <- j;
-        s := !s lxor (1 lsl j)
-      done;
-      { O.cost = dp.(full); seq }
-    end
-
-  (** Exact optimum over cartesian-product-free join sequences by
-      layered tropical subset convolution; cost [C.infinity] (empty
-      sequence) when the query graph is disconnected. Bit-identical to
-      {!Opt.Make.dp_no_cartesian} and {!Ccp.Make.dp_connected} where
-      they admit. With [?pool] each rank layer is evaluated in
-      parallel; results are bit-identical at every job count.
+  (** Cost [C.infinity] (empty sequence) when the query graph is
+      disconnected. With [?pool] the chosen kernel runs in parallel;
+      results are bit-identical at every job count.
       @raise Invalid_argument when [n = 0] or [n > max_conv_n]. *)
   let solve ?pool (inst : I.t) : O.plan =
     let n = I.n inst in
     if n > max_conv_n then
       invalid_arg (Printf.sprintf "Conv.solve: n=%d too large (max %d)" n max_conv_n);
     if n = 0 then invalid_arg "Conv.solve: empty instance";
-    Obs.span "conv.solve" @@ fun () ->
-    Obs.incr c_runs;
-    if n <= dense_max_n then solve_dense ?pool inst n
-    else begin
-      Obs.incr c_sparse_runs;
-      P.dp_connected ?pool inst
-    end
+    if n <= dense_max_n then O.dp_no_cartesian ?pool inst else P.dp_connected ?pool inst
 end

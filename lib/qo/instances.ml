@@ -23,11 +23,11 @@ module Ccp_rat = Ccp.Make (Rat_cost)
 (** Connected-subgraph DP over exact rationals. *)
 
 module Conv_log = Conv.Make (Log_cost)
-(** Tropical subset-convolution exact solver ([solve]) in the log
-    domain; plans are [Opt_log.plan] values. *)
+(** The [conv] size dispatcher ([solve]: lattice DP, then connected
+    DP) in the log domain; plans are [Opt_log.plan] values. *)
 
 module Conv_rat = Conv.Make (Rat_cost)
-(** Tropical subset-convolution exact solver over exact rationals. *)
+(** The [conv] size dispatcher over exact rationals. *)
 
 module Simpli_log = Simpli.Make (Log_cost)
 (** Simpli-Squared cardinality-free structural ordering, log domain. *)

@@ -42,7 +42,6 @@ let domain_name = function Rat -> "rat" | Log -> "log"
 
 type config = {
   cache_capacity : int;
-  cache_shards : int;
   queue_capacity : int;
   batch_size : int;
   rat_transition_ns : float;
@@ -53,7 +52,6 @@ type config = {
 let default_config =
   {
     cache_capacity = 256;
-    cache_shards = 8;
     queue_capacity = 64;
     batch_size = 1;
     rat_transition_ns = 100.;
@@ -166,217 +164,123 @@ let render_plan ~label ~log2_cost ~seq =
   Printf.sprintf "%-22s cost = 2^%.2f  seq = [%s]" label log2_cost
     (String.concat ";" (Array.to_list (Array.map string_of_int seq)))
 
-(* ---------------- plan cache (sharded LRU) ---------------- *)
+(* ---------------- plan cache (LRU) ---------------- *)
 
+(* One table, one lock. Every lookup already runs in arrival order
+   under the pipeline's turnstile, so finer locking would buy no
+   concurrency; only fills and coalesced waits happen outside it. *)
 module Cache = struct
   (* An entry is claimed (Pending) at lookup time, in arrival order
      under the turnstile, and filled once its solve completes. Claiming
-     at lookup time reproduces the sequential find-then-add operation
-     sequence exactly: the tick/stamp/eviction arithmetic a request
-     performs depends only on the requests before it, never on how the
-     solves interleave. *)
+     at lookup time makes every hit/miss/eviction decision depend only
+     on the requests before it, never on how the solves interleave. *)
   type state =
     | Pending
     | Ready of { body : string; approximate : bool }
     | Failed  (** the claimant's solve errored; waiters re-solve *)
 
-  type entry = { mutable state : state; mutable stamp : int }
-
-  type shard = {
-    s_m : Mutex.t;
-    s_filled : Condition.t;
-    s_tbl : (string, entry) Hashtbl.t;
-    s_cap : int;
-    mutable s_tick : int;
-    mutable s_hits : int;
-    mutable s_misses : int;
-    mutable s_evictions : int;
+  (* Entries double as nodes of a circular doubly-linked recency list
+     through a sentinel: [newer]/[older] neighbours, so a hit moves its
+     entry to the front and eviction drops the back, both O(1). *)
+  type entry = {
+    key : string;
+    mutable state : state;
+    mutable newer : entry;
+    mutable older : entry;
   }
 
-  type t = { sh : shard array; total : int Atomic.t }
+  type t = {
+    m : Mutex.t;
+    filled : Condition.t;
+    tbl : (string, entry) Hashtbl.t;
+    cap : int;
+    lru : entry;
+        (** sentinel: [lru.older] is the most recently used entry,
+            [lru.newer] the least *)
+  }
 
-  (* Shard count adapts down to the capacity so tiny caches (capacity 1
-     in the eviction tests) keep the exact single-cache LRU semantics
-     of the sequential-era implementation. *)
-  let create ?(shards = default_config.cache_shards) ~capacity () =
-    let nsh = max 1 (min (max 1 shards) (max 1 capacity)) in
-    let nsh = if capacity <= 0 then 1 else nsh in
-    let mk i =
-      let cap =
-        if capacity <= 0 then 0
-        else (capacity / nsh) + if i < capacity mod nsh then 1 else 0
-      in
-      {
-        s_m = Mutex.create ();
-        s_filled = Condition.create ();
-        s_tbl = Hashtbl.create 64;
-        s_cap = cap;
-        s_tick = 0;
-        s_hits = 0;
-        s_misses = 0;
-        s_evictions = 0;
-      }
-    in
-    { sh = Array.init nsh mk; total = Atomic.make 0 }
+  let create ~capacity =
+    let rec lru = { key = ""; state = Failed; newer = lru; older = lru } in
+    {
+      m = Mutex.create ();
+      filled = Condition.create ();
+      tbl = Hashtbl.create 64;
+      cap = max 0 capacity;
+      lru;
+    }
 
-  let shard_count t = Array.length t.sh
+  let locked t f = Mutex.protect t.m f
 
-  (* Keys are "algo|exact-or-approx|<md5 hex>": shard on the leading
-     hex digit of the canonical hash. Keys of any other shape (direct
-     Cache API users, tests) fall back to a structural hash. *)
-  let shard_of_key t key =
-    let n = Array.length t.sh in
-    if n = 1 then 0
-    else
-      let hex_val c =
-        match c with
-        | '0' .. '9' -> Some (Char.code c - Char.code '0')
-        | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-        | _ -> None
-      in
-      match String.rindex_opt key '|' with
-      | Some i when i + 1 < String.length key -> (
-          match hex_val key.[i + 1] with
-          | Some v -> v mod n
-          | None -> Hashtbl.hash key mod n)
-      | _ -> Hashtbl.hash key mod n
+  let unlink e =
+    e.newer.older <- e.older;
+    e.older.newer <- e.newer
 
-  let locked s f =
-    Mutex.lock s.s_m;
-    match f () with
-    | v ->
-        Mutex.unlock s.s_m;
-        v
-    | exception e ->
-        Mutex.unlock s.s_m;
-        raise e
+  let push_front t e =
+    e.older <- t.lru.older;
+    e.newer <- t.lru;
+    t.lru.older.newer <- e;
+    t.lru.older <- e
 
-  (* Linear-scan LRU eviction within the shard: shards are small
-     (tens of entries) and eviction is rare next to a DP solve. *)
-  let evict_oldest t s =
-    let victim =
-      Hashtbl.fold
-        (fun k e acc ->
-          match acc with
-          | Some (_, best) when best.stamp <= e.stamp -> acc
-          | _ -> Some (k, e))
-        s.s_tbl None
-    in
-    match victim with
-    | Some (k, _) ->
-        Hashtbl.remove s.s_tbl k;
-        Atomic.decr t.total;
-        true
-    | None -> false
-
-  let make_room t s =
-    let evicted = ref 0 in
-    while Hashtbl.length s.s_tbl >= s.s_cap && evict_oldest t s do
-      incr evicted
-    done;
-    s.s_evictions <- s.s_evictions + !evicted;
-    !evicted
+  let remove t e =
+    unlink e;
+    Hashtbl.remove t.tbl e.key
 
   (* The pipeline's one cache pass per request, under the turnstile. *)
   type lookup =
     | Hit_ready of string * bool
-    | Hit_pending of entry * shard
-    | Claimed of entry * shard * int  (** entry, shard, evictions made *)
+    | Hit_pending of entry
+    | Claimed of entry * int  (** entry, evictions made *)
     | Uncached  (** capacity 0: solve without touching the table *)
 
   let lookup_or_claim t key =
-    let s = t.sh.(shard_of_key t key) in
-    locked s (fun () ->
-        if s.s_cap <= 0 then begin
-          s.s_misses <- s.s_misses + 1;
-          Uncached
-        end
-        else
-          match Hashtbl.find_opt s.s_tbl key with
+    if t.cap = 0 then Uncached
+    else
+      locked t (fun () ->
+          match Hashtbl.find_opt t.tbl key with
           | Some e -> (
-              s.s_tick <- s.s_tick + 1;
-              e.stamp <- s.s_tick;
-              s.s_hits <- s.s_hits + 1;
+              unlink e;
+              push_front t e;
               match e.state with
               | Ready { body; approximate } -> Hit_ready (body, approximate)
-              | Pending | Failed -> Hit_pending (e, s))
+              | Pending | Failed -> Hit_pending e)
           | None ->
-              s.s_misses <- s.s_misses + 1;
-              let evicted = make_room t s in
-              s.s_tick <- s.s_tick + 1;
-              let e = { state = Pending; stamp = s.s_tick } in
-              Hashtbl.add s.s_tbl key e;
-              Atomic.incr t.total;
-              Obs.set g_entries (Atomic.get t.total);
-              Claimed (e, s, evicted))
+              let evicted =
+                if Hashtbl.length t.tbl >= t.cap then begin
+                  remove t t.lru.newer;
+                  1
+                end
+                else 0
+              in
+              let e = { key; state = Pending; newer = t.lru; older = t.lru } in
+              push_front t e;
+              Hashtbl.add t.tbl key e;
+              Obs.set g_entries (Hashtbl.length t.tbl);
+              Claimed (e, evicted))
 
-  let fill (e : entry) (s : shard) ~body ~approximate =
-    locked s (fun () ->
+  let fill t e ~body ~approximate =
+    locked t (fun () ->
         e.state <- Ready { body; approximate };
-        Condition.broadcast s.s_filled)
+        Condition.broadcast t.filled)
 
-  (* Solver error on a claimed entry: withdraw it so later requests
-     re-solve as misses; anyone already awaiting re-solves on Failed. *)
-  let abandon t key (e : entry) (s : shard) =
-    locked s (fun () ->
+  (* Solver error on a claimed entry: withdraw it (unless already
+     evicted) so later requests re-solve as misses; anyone already
+     awaiting re-solves on Failed. *)
+  let abandon t e =
+    locked t (fun () ->
         e.state <- Failed;
-        (match Hashtbl.find_opt s.s_tbl key with
-        | Some e' when e' == e ->
-            Hashtbl.remove s.s_tbl key;
-            Atomic.decr t.total
+        (match Hashtbl.find_opt t.tbl e.key with
+        | Some e' when e' == e -> remove t e
         | _ -> ());
-        Condition.broadcast s.s_filled)
+        Condition.broadcast t.filled)
 
-  let await (e : entry) (s : shard) =
-    locked s (fun () ->
+  let await t e =
+    locked t (fun () ->
         while e.state = Pending do
-          Condition.wait s.s_filled s.s_m
+          Condition.wait t.filled t.m
         done;
         e.state)
 
-  (* -------- the classic direct API (tests, satellite fixes) -------- *)
-
-  let find t key =
-    let s = t.sh.(shard_of_key t key) in
-    locked s (fun () ->
-        match Hashtbl.find_opt s.s_tbl key with
-        | Some ({ state = Ready { body; approximate }; _ } as e) ->
-            s.s_tick <- s.s_tick + 1;
-            e.stamp <- s.s_tick;
-            s.s_hits <- s.s_hits + 1;
-            Some (body, approximate)
-        | _ ->
-            s.s_misses <- s.s_misses + 1;
-            None)
-
-  (* Returns the number of entries evicted to make room. A re-insert
-     of a live key is NOT dropped: it refreshes the entry's LRU stamp
-     (and body), so a hot entry recomputed after contention does not
-     age out first. (The old [Hashtbl.mem] guard silently ignored the
-     duplicate, leaving the stale stamp in place.) *)
-  let add t key ~body ~approximate =
-    let s = t.sh.(shard_of_key t key) in
-    locked s (fun () ->
-        if s.s_cap <= 0 then 0
-        else
-          match Hashtbl.find_opt s.s_tbl key with
-          | Some e ->
-              s.s_tick <- s.s_tick + 1;
-              e.stamp <- s.s_tick;
-              e.state <- Ready { body; approximate };
-              0
-          | None ->
-              let evicted = make_room t s in
-              s.s_tick <- s.s_tick + 1;
-              Hashtbl.add s.s_tbl key { state = Ready { body; approximate }; stamp = s.s_tick };
-              Atomic.incr t.total;
-              Obs.set g_entries (Atomic.get t.total);
-              evicted)
-
-  let length t = Atomic.get t.total
-
-  let shard_stats t =
-    Array.map (fun s -> locked s (fun () -> (s.s_hits, s.s_misses, s.s_evictions))) t.sh
+  let length t = locked t (fun () -> Hashtbl.length t.tbl)
 end
 
 (* ---------------- request parsing ---------------- *)
@@ -621,14 +525,13 @@ type step =
       req : request;
       eng : engine;
       approximate : bool;
-      claim : (string * Cache.entry * Cache.shard) option;
+      claim : Cache.entry option;
     }
   | S_await of {
       req : request;
       eng : engine;
       approximate : bool;
       entry : Cache.entry;
-      shard : Cache.shard;
     }
 
 (* The cap travels with the registry entry, so a new solver cannot be
@@ -911,14 +814,14 @@ let process_batch p b =
                       tally.t_hit <- tally.t_hit + 1;
                       tally.t_ok <- tally.t_ok + 1;
                       S_done (ok_block req ~cache_hit:true ~approximate:entry_approx body)
-                  | Cache.Hit_pending (entry, shard) ->
+                  | Cache.Hit_pending entry ->
                       tally.t_hit <- tally.t_hit + 1;
                       tally.t_coal <- tally.t_coal + 1;
-                      S_await { req; eng; approximate; entry; shard }
-                  | Cache.Claimed (entry, shard, evicted) ->
+                      S_await { req; eng; approximate; entry }
+                  | Cache.Claimed (entry, evicted) ->
                       tally.t_miss <- tally.t_miss + 1;
                       tally.t_evict <- tally.t_evict + evicted;
-                      S_solve { req; eng; approximate; claim = Some (key, entry, shard) }
+                      S_solve { req; eng; approximate; claim = Some entry }
                   | Cache.Uncached ->
                       tally.t_miss <- tally.t_miss + 1;
                       S_solve { req; eng; approximate; claim = None })
@@ -941,13 +844,13 @@ let process_batch p b =
            (match run_solve eng ~approximate req with
            | Ok body ->
                (match claim with
-               | Some (_, entry, shard) -> Cache.fill entry shard ~body ~approximate
+               | Some entry -> Cache.fill p.cache entry ~body ~approximate
                | None -> ());
                tally.t_ok <- tally.t_ok + 1;
                responses.(i) <- ok_block req ~cache_hit:false ~approximate body
            | Error msg ->
                (match claim with
-               | Some (key, entry, shard) -> Cache.abandon p.cache key entry shard
+               | Some entry -> Cache.abandon p.cache entry
                | None -> ());
                tally.t_err <- tally.t_err + 1;
                responses.(i) <- error_block ~id:req.rq_id ~code:"solver" msg);
@@ -960,9 +863,9 @@ let process_batch p b =
     (fun i s ->
       match s with
       | S_done _ | S_solve _ -> ()
-      | S_await { req; eng; approximate; entry; shard } -> (
+      | S_await { req; eng; approximate; entry } -> (
           let t0 = Unix.gettimeofday () in
-          (match Cache.await entry shard with
+          (match Cache.await p.cache entry with
           | Cache.Ready { body; approximate = entry_approx } ->
               tally.t_ok <- tally.t_ok + 1;
               responses.(i) <- ok_block req ~cache_hit:true ~approximate:entry_approx body
@@ -1328,7 +1231,7 @@ let serve_session ?pool ~cfg ~cache ~st io =
 let serve_io ?pool ?(config = default_config) ?stats io =
   let st = match stats with Some st -> st | None -> fresh_stats () in
   serve_session ?pool ~cfg:config
-    ~cache:(Cache.create ~shards:config.cache_shards ~capacity:config.cache_capacity ())
+    ~cache:(Cache.create ~capacity:config.cache_capacity)
     ~st io
 
 let io_of_channels ic oc =
@@ -1362,7 +1265,7 @@ let serve_string ?pool ?config input =
   (Buffer.contents out, st)
 
 let serve_socket ?pool ?(config = default_config) ?stats ?(max_conns = max_int) path =
-  let cache = Cache.create ~shards:config.cache_shards ~capacity:config.cache_capacity () in
+  let cache = Cache.create ~capacity:config.cache_capacity in
   let st = match stats with Some st -> st | None -> fresh_stats () in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

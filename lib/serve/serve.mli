@@ -50,8 +50,9 @@
     Solved plans are cached under the canonical instance hash (the
     MD5 digest of the {!Qo.Io} dump of the {e parsed} instance, so
     formatting differences and comment lines do not defeat the cache),
-    with LRU eviction. Cache hits return the stored response body
-    byte-for-byte.
+    in one table with global LRU eviction: the least recently looked-up
+    entry goes first, found in O(1) through an intrusive recency list.
+    Cache hits return the stored response body byte-for-byte.
 
     [budget_ms] enforces a deterministic work model rather than a
     wall-clock timeout (so tests are reproducible): exact DP work is
@@ -71,11 +72,13 @@
     A turnstile serialises the plan-cache pass in arrival order and a
     reorder buffer restores response order, so {b output bytes, cache
     decisions and stats totals are identical to [jobs = 1]} — the
-    sequential path runs the very same pipeline inline. Concurrent
-    duplicate requests are coalesced: the first claims the cache slot
-    and solves; the rest observe a hit and await the filled entry.
-    {!Shutdown} (SIGTERM/SIGINT) stops reading, drains every accepted
-    request through the workers, and only then returns.
+    sequential path runs the very same pipeline inline. Because every
+    lookup already runs under the turnstile, the plan cache has a
+    single mutex: finer locking would add no lookup concurrency.
+    Concurrent duplicate requests are coalesced: the first claims the
+    cache slot and solves; the rest observe a hit and await the filled
+    entry. {!Shutdown} (SIGTERM/SIGINT) stops reading, drains every
+    accepted request through the workers, and only then returns.
 
     {2 Introspection}
 
@@ -124,10 +127,8 @@ val admission_cap : Solver.entry -> string * int
     a cap (the record fields are not optional). *)
 
 type config = {
-  cache_capacity : int;  (** plan-cache entries before LRU eviction *)
-  cache_shards : int;
-      (** plan-cache shards (clamped to [capacity], so tiny caches keep
-          exact single-LRU semantics) *)
+  cache_capacity : int;
+      (** plan-cache entries before LRU eviction; [0] disables caching *)
   queue_capacity : int;  (** bounded request-queue depth, in batches *)
   batch_size : int;
       (** requests per worker batch. 1 (the default) keeps strict
@@ -145,7 +146,7 @@ type config = {
 }
 
 val default_config : config
-(** [{cache_capacity = 256; cache_shards = 8; queue_capacity = 64;
+(** [{cache_capacity = 256; queue_capacity = 64;
      batch_size = 1; rat_transition_ns = 100.; log_transition_ns = 10.;
      record_exact_latencies = false}] *)
 
@@ -176,7 +177,7 @@ type stats = {
           [jobs > 1] (hence masked by {!timing_fields}), deterministic
           at [jobs = 1]. *)
   mutable cache_entries : int;
-      (** cache occupancy ({!Cache.length}) at the last batch commit *)
+      (** plan-cache occupancy at the last batch commit *)
   mutable evictions : int;
   mutable fallbacks : int;  (** budget-driven exact-to-approximate downgrades *)
   mutable seconds : float;
@@ -209,39 +210,6 @@ type io = {
 }
 (** Transport abstraction: the same loop serves stdin/stdout, a Unix
     socket connection, or an in-memory string (tests). *)
-
-(** The sharded LRU plan cache. Entries are distributed over shards by
-    canonical-hash prefix, each shard owning its mutex, LRU clock and
-    hit/miss/eviction counters — concurrent requests for different
-    shards never contend. Exposed for tests (sharding equivalence and
-    the duplicate-insert regression); the serve loops construct and
-    drive their own instance. *)
-module Cache : sig
-  type t
-
-  val create : ?shards:int -> capacity:int -> unit -> t
-  (** [shards] defaults to {!default_config}'s [cache_shards] and is
-      clamped to [capacity] so a capacity-1 cache is a single LRU.
-      [capacity <= 0] disables caching. *)
-
-  val shard_count : t -> int
-  val shard_of_key : t -> string -> int
-
-  val find : t -> string -> (string * bool) option
-  (** [(body, approximate)] for a ready entry, refreshing its LRU
-      stamp and counting a shard hit; [None] counts a shard miss. *)
-
-  val add : t -> string -> body:string -> approximate:bool -> int
-  (** Insert under LRU eviction; returns the number of entries evicted
-      to make room. Re-inserting a live key refreshes its LRU stamp
-      and body instead of being silently dropped. *)
-
-  val length : t -> int
-
-  val shard_stats : t -> (int * int * int) array
-  (** Per-shard [(hits, misses, evictions)], index-aligned with
-      {!shard_of_key}. *)
-end
 
 val render_plan : label:string -> log2_cost:float -> seq:int array -> string
 (** The one plan-line renderer, shared with [qopt optimize] so serve

@@ -100,12 +100,11 @@ let all =
       label = "exact CV (subset convolution)";
       explain_label = "exact CV subset convolution";
       doc =
-        "max-plus subset convolution: cardinality-layered lattice sweep on dense \
-         graphs, connected DP on sparse ones — same plan bit-for-bit at any \
-         admissible $(i,n)";
-      (* dense regime walks the full lattice like dp, but past
-         [dense_max_n] it delegates to the cartesian-free connected DP,
-         so the only claim that holds across regimes is the weaker one *)
+        "cartesian-free exact DP dispatched by size: the lattice DP \
+         (dp_no_cartesian) up to the dp cap, the connected DP (ccp) past it — \
+         same plan bit-for-bit at any admissible $(i,n)";
+      (* both kernels it dispatches to are cartesian-free, so that is
+         the claim that holds across the size boundary *)
       exact = Some Cartesian_free;
       cap_name = "Conv.max_conv_n";
       cap = Qo.Instances.Conv_rat.max_conv_n;

@@ -5,7 +5,7 @@
     drifting scalars, requests arrive in bursts, and a hostile tail of
     malformed/oversized/infeasible requests rides along. This module
     synthesizes such workloads as line-delimited {!Serve} request
-    streams (so the concurrent serve pipeline — sharded coalescing
+    streams (so the concurrent serve pipeline — coalescing LRU
     plan cache, backpressure, latency histograms — is exercised under
     cache-realistic skew rather than hand-built transcripts), and
     replays them into a schema-versioned [qopt-trace-report].

@@ -54,15 +54,14 @@ let test_oracles_clean () =
 
 (* The registry's order and names are part of the report schema. *)
 let test_registry () =
-  check_int "registry size" 17 (List.length Fuzz.oracles);
+  check_int "registry size" 16 (List.length Fuzz.oracles);
   check "registry size floor" true (List.length Fuzz.oracles >= 15);
   check_str "trace-replay-det closes the registry" "trace-replay-det"
-    (List.nth Fuzz.oracles 16).Fuzz.name;
+    (List.nth Fuzz.oracles 15).Fuzz.name;
   check_str "first oracle" "dp-vs-ccp" (List.hd Fuzz.oracles).Fuzz.name;
   let names = List.map (fun o -> o.Fuzz.name) Fuzz.oracles in
   check "ik-tree registered" true (List.mem "ik-tree" names);
   check "rat-vs-log registered" true (List.mem "rat-vs-log" names);
-  check "conv-vs-ccp registered" true (List.mem "conv-vs-ccp" names);
   check "ccp-words registered" true (List.mem "ccp-words" names);
   check "served-control registered" true (List.mem "served-control" names);
   (* solver-registry entrants are auto-covered *)
@@ -72,9 +71,9 @@ let test_registry () =
 (* [?only] restricts the oracle set without disturbing the seeded case
    stream, and rejects unknown names. *)
 let test_campaign_only () =
-  let r = Fuzz.run_campaign ~only:[ "conv-vs-ccp" ] ~seed:5 ~runs:10 () in
+  let r = Fuzz.run_campaign ~only:[ "ccp-words" ] ~seed:5 ~runs:10 () in
   check_int "one oracle" 1 (List.length r.Fuzz.per_oracle);
-  check_str "the conv oracle" "conv-vs-ccp" (fst (List.hd r.Fuzz.per_oracle));
+  check_str "the ccp-words oracle" "ccp-words" (fst (List.hd r.Fuzz.per_oracle));
   check_int "checks = runs" 10 r.Fuzz.checks;
   check_int "no failures" 0 r.Fuzz.fails;
   Alcotest.check_raises "unknown oracle rejected"

@@ -333,100 +333,64 @@ let test_cache_eviction () =
   Alcotest.(check int) "all misses at capacity 1" 3 st.Serve.cache_misses;
   Alcotest.(check int) "no hits" 0 st.Serve.cache_hits;
   Alcotest.(check int) "two evictions" 2 st.Serve.evictions;
+  (* the single slot still serves a repeat *)
+  let _out, st1 = Serve.serve_string ~config (a ^ a) in
+  Alcotest.(check int) "capacity 1: repeat hits" 1 st1.Serve.cache_hits;
+  Alcotest.(check int) "capacity 1: one entry" 1 st1.Serve.cache_entries;
   (* and capacity 0 disables caching without dividing by zero *)
   let config0 = { Serve.default_config with Serve.cache_capacity = 0 } in
   let _out, st0 = Serve.serve_string ~config:config0 (a ^ a) in
   Alcotest.(check int) "capacity 0: no hits" 0 st0.Serve.cache_hits;
-  Alcotest.(check int) "capacity 0: no evictions" 0 st0.Serve.evictions
+  Alcotest.(check int) "capacity 0: two misses" 2 st0.Serve.cache_misses;
+  Alcotest.(check int) "capacity 0: no evictions" 0 st0.Serve.evictions;
+  Alcotest.(check int) "capacity 0: no entries" 0 st0.Serve.cache_entries
 
-(* Regression: re-inserting a live key must refresh its LRU stamp (and
-   body), not be silently dropped — otherwise a hot entry recomputed
-   after contention is the next eviction victim. *)
-let test_duplicate_add_refresh () =
-  let c = Serve.Cache.create ~shards:1 ~capacity:2 () in
-  let add k body = ignore (Serve.Cache.add c k ~body ~approximate:false : int) in
-  add "k1" "one";
-  add "k2" "two";
-  (* re-insert of the live k1: with the old Hashtbl.mem guard this was
-     a no-op and k1 kept the oldest stamp *)
-  add "k1" "one'";
-  add "k3" "three";
-  Alcotest.(check bool) "refreshed k1 survives the eviction" true
-    (Serve.Cache.find c "k1" <> None);
-  Alcotest.(check bool) "k2 (actual LRU) was evicted" true (Serve.Cache.find c "k2" = None);
-  Alcotest.(check (option (pair string bool))) "re-insert refreshed the body too"
-    (Some ("one'", false))
-    (Serve.Cache.find c "k1")
+(* The cache= mark of every response, in order. *)
+let cache_marks out =
+  List.filter_map
+    (function
+      | h :: _ when contains h "cache=hit" -> Some "hit"
+      | h :: _ when contains h "cache=miss" -> Some "miss"
+      | _ -> None)
+    (blocks out)
 
-(* ---------------- cache sharding ---------------- *)
+(* A hit refreshes recency, so the victim is the true least recently
+   used entry, not the oldest insertion. *)
+let test_lru_refresh () =
+  let config = { Serve.default_config with Serve.cache_capacity = 3 } in
+  let r n = request ~header:"request algo=dp" (chain_inst n) in
+  let out, st = Serve.serve_string ~config (r 2 ^ r 3 ^ r 4 ^ r 2 ^ r 5 ^ r 2 ^ r 4 ^ r 3) in
+  (* r 2 is refreshed before r 5 arrives, so r 3 is evicted *)
+  Alcotest.(check (list string)) "marks"
+    [ "miss"; "miss"; "miss"; "hit"; "miss"; "hit"; "hit"; "miss" ]
+    (cache_marks out);
+  Alcotest.(check int) "evictions" 2 st.Serve.evictions
 
-(* Keys shaped like real cache keys ("algo|kind|<hex>"): the hex digit
-   after the last '|' picks the shard, which the tests rely on to aim
-   keys at specific shards. *)
-let skey hex tag = Printf.sprintf "dp|exact|%c%s" hex tag
-
-(* Shard counters must sum to exactly what an unsharded cache reports
-   for the same operation stream. *)
-let test_shard_counter_sums () =
-  let keys =
-    List.init 40 (fun i -> skey "0123456789abcdef".[i mod 16] (string_of_int (i mod 13)))
+(* Recency is global across cache keys. A request's key ends in the md5
+   of its canonical dump. Pick a and c whose digests start with hex
+   digits of the same parity and b with the other, so that a cache
+   partitioned by that digit into two capacity-1 LRUs would evict a on
+   c's arrival. At capacity 2, a b a c a must evict b (the global LRU)
+   and the final a must hit. *)
+let test_lru_global () =
+  let digit payload =
+    let d =
+      Digest.to_hex (Digest.string ("rat\n" ^ Qo.Io.dump_rat (Qo.Io.parse_rat payload)))
+    in
+    int_of_string ("0x" ^ String.sub d 0 1)
   in
-  let drive cache =
-    List.iter
-      (fun k ->
-        match Serve.Cache.find cache k with
-        | Some _ -> ()
-        | None -> ignore (Serve.Cache.add cache k ~body:k ~approximate:false : int))
-      keys
-  in
-  let sharded = Serve.Cache.create ~shards:8 ~capacity:64 () in
-  let single = Serve.Cache.create ~shards:1 ~capacity:64 () in
-  drive sharded;
-  drive single;
-  let sum a = Array.fold_left (fun (h, m, e) (h', m', e') -> (h + h', m + m', e + e')) (0, 0, 0) a in
-  Alcotest.(check int) "eight shards" 8 (Serve.Cache.shard_count sharded);
-  Alcotest.(check (triple int int int)) "shard counters sum to the unsharded totals"
-    (sum (Serve.Cache.shard_stats single))
-    (sum (Serve.Cache.shard_stats sharded));
-  Alcotest.(check int) "same occupancy" (Serve.Cache.length single) (Serve.Cache.length sharded)
-
-(* Within one shard, eviction order is the plain LRU order the
-   pre-sharding cache used: same operation stream over the shard's keys,
-   same victims. *)
-let test_shard_eviction_order () =
-  (* two shards of capacity 2 each; '0','2',... land in shard 0 *)
-  let sharded = Serve.Cache.create ~shards:2 ~capacity:4 () in
-  let single = Serve.Cache.create ~shards:1 ~capacity:2 () in
-  let s0 = [ skey '0' "a"; skey '2' "b"; skey '4' "c" ] in
-  let s1 = [ skey '1' "x"; skey '3' "y" ] in
-  (match s0 with
-  | [ a; b; c ] ->
-      List.iter
-        (fun cache ->
-          ignore (Serve.Cache.add cache a ~body:"A" ~approximate:false : int);
-          ignore (Serve.Cache.add cache b ~body:"B" ~approximate:false : int))
-        [ sharded; single ];
-      (* interleave traffic on the other shard: must not disturb shard 0 *)
-      List.iter
-        (fun k -> ignore (Serve.Cache.add sharded k ~body:"Z" ~approximate:false : int))
-        s1;
-      List.iter (fun cache -> ignore (Serve.Cache.find cache a)) [ sharded; single ];
-      let ev_sharded = Serve.Cache.add sharded c ~body:"C" ~approximate:false in
-      let ev_single = Serve.Cache.add single c ~body:"C" ~approximate:false in
-      Alcotest.(check int) "one eviction either way" ev_single ev_sharded;
-      List.iter
-        (fun cache ->
-          Alcotest.(check bool) "refreshed key survives" true (Serve.Cache.find cache a <> None);
-          Alcotest.(check bool) "LRU key evicted" true (Serve.Cache.find cache b = None);
-          Alcotest.(check bool) "new key present" true (Serve.Cache.find cache c <> None))
-        [ sharded; single ];
-      (* the other shard was untouched by shard-0 evictions *)
-      List.iter
-        (fun k ->
-          Alcotest.(check bool) "other shard undisturbed" true
-            (Serve.Cache.find sharded k <> None))
-        s1
-  | _ -> assert false)
+  let chains = List.init 14 (fun i -> chain_inst (i + 2)) in
+  let parity p = digit p mod 2 in
+  let same, other = List.partition (fun p -> parity p = parity (List.hd chains)) chains in
+  match (same, other) with
+  | a :: c :: _, b :: _ ->
+      let config = { Serve.default_config with Serve.cache_capacity = 2 } in
+      let r = request ~header:"request algo=dp" in
+      let out, st = Serve.serve_string ~config (r a ^ r b ^ r a ^ r c ^ r a) in
+      Alcotest.(check (list string)) "marks" [ "miss"; "miss"; "hit"; "miss"; "hit" ]
+        (cache_marks out);
+      Alcotest.(check int) "b evicted" 1 st.Serve.evictions
+  | _ -> Alcotest.fail "no instances of both digest parities"
 
 (* ---------------- concurrent pipeline ---------------- *)
 
@@ -831,12 +795,8 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "LRU eviction" `Quick test_cache_eviction;
-          Alcotest.test_case "duplicate add refreshes LRU stamp" `Quick
-            test_duplicate_add_refresh;
-          Alcotest.test_case "shard counters sum to unsharded totals" `Quick
-            test_shard_counter_sums;
-          Alcotest.test_case "per-shard eviction order = single-cache order" `Quick
-            test_shard_eviction_order;
+          Alcotest.test_case "hit refreshes LRU recency" `Quick test_lru_refresh;
+          Alcotest.test_case "LRU is global across digest prefixes" `Quick test_lru_global;
         ] );
       ( "concurrency",
         [

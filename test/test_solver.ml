@@ -173,6 +173,52 @@ let test_heuristic_entries_bounded () =
         done)
     Solver.all
 
+(* Past the lattice cap, conv dispatches to the connected DP: same
+   cost and sequence as [Ccp.dp_connected] in both domains. A random
+   tree's connected-subgraph count is exponential, so the trees are
+   spiders (three paths joined at a hub). *)
+let test_conv_dispatch_boundary () =
+  let conv =
+    match Solver.find "conv" with Some e -> e | None -> Alcotest.fail "conv not registered"
+  in
+  let dense_max = Qo.Instances.Opt_rat.max_dp_n in
+  (match conv.Solver.budget with
+  | Solver.B_dense_then_csg d ->
+      Alcotest.(check int) "budget threshold = Opt.max_dp_n" dense_max d
+  | _ -> Alcotest.fail "conv budget is not B_dense_then_csg");
+  let spider legs =
+    let g = Graphlib.Ugraph.create (1 + List.fold_left ( + ) 0 legs) in
+    ignore
+      (List.fold_left
+         (fun base len ->
+           Graphlib.Ugraph.add_edge g 0 base;
+           for i = 0 to len - 2 do
+             Graphlib.Ugraph.add_edge g (base + i) (base + i + 1)
+           done;
+           base + len)
+         1 legs);
+    g
+  in
+  let tree seed legs = Qo.Gen_inst.R.over_graph ~seed ~graph:(spider legs) () in
+  let solve_log = Option.get conv.Solver.solve_log in
+  List.iter
+    (fun (label, i) ->
+      let n = NR.n i in
+      check (label ^ " is past the lattice cap") true (n > dense_max);
+      let a = conv.Solver.solve_rat i and b = Qo.Instances.Ccp_rat.dp_connected i in
+      check (label ^ " rat cost") true (Qo.Rat_cost.equal a.OR.cost b.OR.cost);
+      check (label ^ " rat seq") true (a.OR.seq = b.OR.seq);
+      let li = Qo.Instances.log_of_rat i in
+      let a = solve_log li and b = Qo.Instances.Ccp_log.dp_connected li in
+      check (label ^ " log cost") true (Qo.Log_cost.equal a.OL.cost b.OL.cost);
+      check (label ^ " log seq") true (a.OL.seq = b.OL.seq))
+    [
+      ("chain n=24", Qo.Gen_inst.R.chain ~seed:4 ~n:24 ());
+      ("chain n=40", Qo.Gen_inst.R.chain ~seed:4 ~n:40 ());
+      ("tree n=24", tree 4 [ 8; 8; 7 ]);
+      ("tree n=40", tree 4 [ 13; 13; 13 ]);
+    ]
+
 let () =
   Alcotest.run "solver"
     [
@@ -188,5 +234,7 @@ let () =
             test_exact_entries_bit_identical;
           Alcotest.test_case "heuristic entries bounded by dp" `Quick
             test_heuristic_entries_bounded;
+          Alcotest.test_case "conv dispatch boundary = ccp" `Quick
+            test_conv_dispatch_boundary;
         ] );
     ]
