@@ -817,6 +817,13 @@ let fuzz_campaign_check ~jobs =
    base instances) exceeds the default cache capacity (256), so the
    replays run under eviction pressure and the curve has room to move;
    any non-increase across adjacent skews fails the bench. *)
+(* Prepare-stage quantile (parse or front-map lookup, admission,
+   budget, key) in microseconds: on a hit-dominated trace its p50 is
+   the hit path's parsing cost. *)
+let prepare_us st q =
+  float_of_int (Obs.Histogram.quantile (Obs.Histogram.snap st.Serve.stages.Serve.h_prepare) q)
+  /. 1e3
+
 let trace_skew_check () =
   Printf.printf "\n== trace replay: cache hit rate vs Zipf skew (20k requests each) ==\n";
   let rows =
@@ -827,10 +834,11 @@ let trace_skew_check () =
         let _out, st, seconds = Trace.replay ~probe_every:1000 t in
         Printf.printf
           "  skew %.1f: %5d hits / %5d misses (%.4f hit rate), %d coalesced, %d \
-           evicted, %d resident, %.2fs (%.0f req/s)\n"
+           evicted, %d resident, %.2fs (%.0f req/s), prepare p50 %.1f / p99 %.1f us\n"
           skew st.Serve.cache_hits st.Serve.cache_misses (Serve.hit_rate st)
           st.Serve.coalesced st.Serve.evictions st.Serve.cache_entries seconds
-          (float_of_int st.Serve.requests /. seconds);
+          (float_of_int st.Serve.requests /. seconds)
+          (prepare_us st 50.) (prepare_us st 99.);
         (skew, st, seconds))
       [ 0.2; 0.8; 1.4 ]
   in
@@ -874,6 +882,8 @@ let trace_json rows =
                    ("p95", Float (Serve.latency_percentile st 95.));
                    ("p99", Float (Serve.latency_percentile st 99.));
                  ] );
+             ( "prepare_us",
+               Obj [ ("p50", Float (prepare_us st 50.)); ("p99", Float (prepare_us st 99.)) ] );
            ])
        rows)
 

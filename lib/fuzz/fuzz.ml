@@ -19,6 +19,10 @@ type oracle = { name : string; check : case -> outcome }
 let exact_cap = 12
 let exhaustive_cap = 7
 
+(* [cached-vs-uncached] solves every request of its stream once per
+   uncached run, so it looks at smaller instances than [exact_cap]. *)
+let served_cache_cap = 8
+
 let c_runs = Obs.counter "fuzz.runs"
 let c_failures = Obs.counter "fuzz.failures"
 let c_shrink_steps = Obs.counter "fuzz.shrink_steps"
@@ -521,6 +525,69 @@ module Checks (D : DOMAIN) = struct
         Fail (Printf.sprintf "expected 4 control blocks, got %d" (List.length ctls))
       else match bad_ctl with Some m -> Fail m | None -> Pass
     end
+
+  (* The canonical-form front map and the plan cache only memoize: a
+     stream served with both at the default capacity must answer what
+     a cache-less run (capacity 0 turns both off) answers, byte for
+     byte up to the cache=hit|miss marks, at jobs 1 and 2. The stream
+     mixes verbatim duplicates, #-comment variants (new raw bytes, same
+     instance) and domain flips (same bytes, other parser) over exact,
+     budgeted and heuristic algos. *)
+  let cached_vs_uncached (inst : I.t) =
+    if inst.I.n > served_cache_cap then Skip "n > served-cache cap"
+    else begin
+      let payload = D.dump inst in
+      let payload =
+        if payload <> "" && payload.[String.length payload - 1] = '\n' then payload
+        else payload ^ "\n"
+      in
+      let other = if D.name = "rat" then "log" else "rat" in
+      let st = Random.State.make [| Hashtbl.hash payload |] in
+      (* budgets roomy enough to stay exact: the fallback's annealing
+         costs seconds in the rational domain, and a budgeted ccp
+         request still makes a front hit parse for its csg count *)
+      let algos = [| "dp"; "ccp"; "greedy"; "dp budget_ms=1000"; "ccp budget_ms=1000" |] in
+      let req i =
+        let body =
+          match Random.State.int st 4 with
+          | 0 -> Printf.sprintf "# variant %d\n%s" (Random.State.int st 2) payload
+          | _ -> payload
+        in
+        let domain = if Random.State.int st 4 = 0 then other else D.name in
+        Printf.sprintf "request id=r%d algo=%s domain=%s\n%send\n" i
+          algos.(Random.State.int st (Array.length algos))
+          domain body
+      in
+      let input = String.concat "" (List.init 10 req) in
+      let unmark out =
+        String.split_on_char '\n' out
+        |> List.map (fun l ->
+               String.split_on_char ' ' l
+               |> List.filter (fun t -> t <> "cache=hit" && t <> "cache=miss")
+               |> String.concat " ")
+        |> String.concat "\n"
+      in
+      let serve ~jobs config =
+        if jobs = 1 then fst (Serve.serve_string ~config input)
+        else Pool.with_pool ~jobs (fun pool -> fst (Serve.serve_string ~pool ~config input))
+      in
+      let cached = Serve.default_config in
+      let uncached = { Serve.default_config with Serve.cache_capacity = 0 } in
+      let reference = serve ~jobs:1 cached in
+      let bad =
+        List.find_map
+          (fun (label, jobs, config) ->
+            let out = serve ~jobs config in
+            if unmark out <> unmark reference then
+              Some
+                (Printf.sprintf "%s output differs from cached jobs=1: %S <> %S" label out
+                   reference)
+            else None)
+          [ ("cached jobs=2", 2, cached); ("uncached jobs=1", 1, uncached);
+            ("uncached jobs=2", 2, uncached) ]
+      in
+      match bad with Some m -> Fail m | None -> Pass
+    end
 end
 
 module Dom_rat = struct
@@ -587,6 +654,7 @@ let handwritten_oracles =
     per_domain "oneshot-vs-served" CR.oneshot_vs_served CL.oneshot_vs_served;
     per_domain "served-seq-vs-par" CR.served_seq_vs_par CL.served_seq_vs_par;
     per_domain "served-control" CR.served_control CL.served_control;
+    per_domain "cached-vs-uncached" CR.cached_vs_uncached CL.cached_vs_uncached;
     per_domain "relabel" CR.relabel CL.relabel;
     per_domain "io-roundtrip" CR.io_roundtrip CL.io_roundtrip;
     per_domain "scale-monotone" CR.scale_monotone CL.scale_monotone;

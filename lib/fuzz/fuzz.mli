@@ -57,7 +57,11 @@ val oracles : oracle list
     (concurrent serve output byte-identical to sequential),
     [served-control] (in-band [#stats]/[#health]/[#hist] requests
     answered with valid schema-versioned snapshots without perturbing
-    non-control bytes or stats), [relabel] (optimum
+    non-control bytes or stats), [cached-vs-uncached] (a stream of
+    duplicates, [#]-comment variants and domain flips answers the same
+    bytes, up to the [cache=hit|miss] marks, with the plan cache and
+    its canonical-form front map at the default capacity as with both
+    off, at jobs 1 and 2), [relabel] (optimum
     invariant under vertex permutation), [io-roundtrip] (dump → parse →
     dump byte-identity), [scale-monotone] (optimum does not decrease
     when all sizes and access costs scale up), [heuristic-bound]

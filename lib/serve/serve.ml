@@ -150,6 +150,9 @@ let c_fallbacks = Obs.counter "serve.fallbacks"
 let c_queue_full = Obs.counter "serve.queue.full"
 let c_control = Obs.counter "serve.control.requests"
 let g_entries = Obs.gauge "serve.cache.entries"
+let c_canon_hits = Obs.counter "serve.canon.hits"
+let c_canon_misses = Obs.counter "serve.canon.misses"
+let g_canon_entries = Obs.gauge "serve.canon.entries"
 let g_queue = Obs.gauge "serve.queue.depth"
 
 (* The registered (process-global) latency histogram: every session's
@@ -164,7 +167,87 @@ let render_plan ~label ~log2_cost ~seq =
   Printf.sprintf "%-22s cost = 2^%.2f  seq = [%s]" label log2_cost
     (String.concat ";" (Array.to_list (Array.map string_of_int seq)))
 
-(* ---------------- plan cache (LRU) ---------------- *)
+(* ---------------- bounded LRU ---------------- *)
+
+(* The one eviction scheme behind both maps (the plan cache and the
+   canonical-form front map). Nodes double as cells of a circular
+   doubly-linked recency list: [mru] is the most recently used node and
+   [mru.newer] — wrapping round — the least, so a hit moves its node to
+   the front and eviction drops the back, both O(1). Unsynchronised:
+   each owner guards it with its own lock. *)
+module Lru = struct
+  type ('k, 'v) node = {
+    key : 'k;
+    mutable value : 'v;
+    mutable newer : ('k, 'v) node;
+    mutable older : ('k, 'v) node;
+  }
+
+  type ('k, 'v) t = {
+    tbl : ('k, ('k, 'v) node) Hashtbl.t;
+    cap : int;
+    mutable mru : ('k, 'v) node option;
+  }
+
+  let create ~capacity = { tbl = Hashtbl.create 64; cap = max 0 capacity; mru = None }
+  let length t = Hashtbl.length t.tbl
+
+  let unlink t e =
+    if e.newer == e then t.mru <- None
+    else begin
+      e.newer.older <- e.older;
+      e.older.newer <- e.newer;
+      match t.mru with Some m when m == e -> t.mru <- Some e.older | _ -> ()
+    end
+
+  let push_front t e =
+    (match t.mru with
+    | None ->
+        e.newer <- e;
+        e.older <- e
+    | Some m ->
+        (* between the old front and the back it wraps round to *)
+        e.older <- m;
+        e.newer <- m.newer;
+        m.newer.older <- e;
+        m.newer <- e);
+    t.mru <- Some e
+
+  (* Drop [e] unless it is no longer resident (already evicted). *)
+  let remove t e =
+    match Hashtbl.find_opt t.tbl e.key with
+    | Some e' when e' == e ->
+        unlink t e;
+        Hashtbl.remove t.tbl e.key
+    | _ -> ()
+
+  (* A hit refreshes the node's recency. *)
+  let find t k =
+    match Hashtbl.find_opt t.tbl k with
+    | Some e ->
+        unlink t e;
+        push_front t e;
+        Some e
+    | None -> None
+
+  (* Insert an absent key as most recent, first evicting the least
+     recent node when full (requires [cap > 0]); returns the node and
+     whether an eviction happened. *)
+  let add t k v =
+    let evicted =
+      match t.mru with
+      | Some m when length t >= t.cap ->
+          remove t m.newer;
+          true
+      | _ -> false
+    in
+    let rec e = { key = k; value = v; newer = e; older = e } in
+    push_front t e;
+    Hashtbl.add t.tbl k e;
+    (e, evicted)
+end
+
+(* ---------------- plan cache ---------------- *)
 
 (* One table, one lock. Every lookup already runs in arrival order
    under the pipeline's turnstile, so finer locking would buy no
@@ -179,51 +262,14 @@ module Cache = struct
     | Ready of { body : string; approximate : bool }
     | Failed  (** the claimant's solve errored; waiters re-solve *)
 
-  (* Entries double as nodes of a circular doubly-linked recency list
-     through a sentinel: [newer]/[older] neighbours, so a hit moves its
-     entry to the front and eviction drops the back, both O(1). *)
-  type entry = {
-    key : string;
-    mutable state : state;
-    mutable newer : entry;
-    mutable older : entry;
-  }
+  type entry = (string, state) Lru.node
 
-  type t = {
-    m : Mutex.t;
-    filled : Condition.t;
-    tbl : (string, entry) Hashtbl.t;
-    cap : int;
-    lru : entry;
-        (** sentinel: [lru.older] is the most recently used entry,
-            [lru.newer] the least *)
-  }
+  type t = { m : Mutex.t; filled : Condition.t; lru : (string, state) Lru.t }
 
   let create ~capacity =
-    let rec lru = { key = ""; state = Failed; newer = lru; older = lru } in
-    {
-      m = Mutex.create ();
-      filled = Condition.create ();
-      tbl = Hashtbl.create 64;
-      cap = max 0 capacity;
-      lru;
-    }
+    { m = Mutex.create (); filled = Condition.create (); lru = Lru.create ~capacity }
 
   let locked t f = Mutex.protect t.m f
-
-  let unlink e =
-    e.newer.older <- e.older;
-    e.older.newer <- e.newer
-
-  let push_front t e =
-    e.older <- t.lru.older;
-    e.newer <- t.lru;
-    t.lru.older.newer <- e;
-    t.lru.older <- e
-
-  let remove t e =
-    unlink e;
-    Hashtbl.remove t.tbl e.key
 
   (* The pipeline's one cache pass per request, under the turnstile. *)
   type lookup =
@@ -233,54 +279,76 @@ module Cache = struct
     | Uncached  (** capacity 0: solve without touching the table *)
 
   let lookup_or_claim t key =
-    if t.cap = 0 then Uncached
+    if t.lru.Lru.cap = 0 then Uncached
     else
       locked t (fun () ->
-          match Hashtbl.find_opt t.tbl key with
+          match Lru.find t.lru key with
           | Some e -> (
-              unlink e;
-              push_front t e;
-              match e.state with
+              match e.Lru.value with
               | Ready { body; approximate } -> Hit_ready (body, approximate)
               | Pending | Failed -> Hit_pending e)
           | None ->
-              let evicted =
-                if Hashtbl.length t.tbl >= t.cap then begin
-                  remove t t.lru.newer;
-                  1
-                end
-                else 0
-              in
-              let e = { key; state = Pending; newer = t.lru; older = t.lru } in
-              push_front t e;
-              Hashtbl.add t.tbl key e;
-              Obs.set g_entries (Hashtbl.length t.tbl);
-              Claimed (e, evicted))
+              let e, evicted = Lru.add t.lru key Pending in
+              Obs.set g_entries (Lru.length t.lru);
+              Claimed (e, if evicted then 1 else 0))
 
-  let fill t e ~body ~approximate =
+  let fill t (e : entry) ~body ~approximate =
     locked t (fun () ->
-        e.state <- Ready { body; approximate };
+        e.Lru.value <- Ready { body; approximate };
         Condition.broadcast t.filled)
 
   (* Solver error on a claimed entry: withdraw it (unless already
      evicted) so later requests re-solve as misses; anyone already
      awaiting re-solves on Failed. *)
-  let abandon t e =
+  let abandon t (e : entry) =
     locked t (fun () ->
-        e.state <- Failed;
-        (match Hashtbl.find_opt t.tbl e.key with
-        | Some e' when e' == e -> remove t e
-        | _ -> ());
+        e.Lru.value <- Failed;
+        Lru.remove t.lru e;
         Condition.broadcast t.filled)
 
-  let await t e =
+  let await t (e : entry) =
     locked t (fun () ->
-        while e.state = Pending do
+        while e.Lru.value = Pending do
           Condition.wait t.filled t.m
         done;
-        e.state)
+        e.Lru.value)
 
-  let length t = locked t (fun () -> Hashtbl.length t.tbl)
+  let length t = locked t (fun () -> Lru.length t.lru)
+end
+
+(* ---------------- canonical-form front map ---------------- *)
+
+(* Memoizes the pure map (domain, raw payload bytes) -> (canonical
+   digest hex, n) ahead of the plan cache, so a repeated payload gets
+   its cache key, admission and lattice budget without a parse. Raw
+   bytes rather than a lexical normalization: a normalizer would be a
+   second parser that must agree with [Qo.Io.parse_*] on every byte,
+   or it maps an invalid payload onto a valid one's key. Only
+   successful parses are stored. [prepare] runs in parallel at
+   jobs > 1, so the map has its own lock, never held across a parse;
+   which request fills an entry first then depends on scheduling, so
+   its hit/miss counts are not jobs-invariant (response bytes are). *)
+module Front = struct
+  type t = { m : Mutex.t; lru : (string, string * int) Lru.t }
+
+  let create ~capacity = { m = Mutex.create (); lru = Lru.create ~capacity }
+
+  (* domain names are all three bytes, so the concatenation is unambiguous *)
+  let key domain payload = domain_name domain ^ Digest.string payload
+
+  let find t k =
+    if t.lru.Lru.cap = 0 then None
+    else
+      Mutex.protect t.m (fun () ->
+          Option.map (fun (e : _ Lru.node) -> e.Lru.value) (Lru.find t.lru k))
+
+  (* A racing worker may have stored the same key meanwhile; its value
+     is the same, so the first one stays. *)
+  let add t k v =
+    if t.lru.Lru.cap > 0 then
+      Mutex.protect t.m (fun () ->
+          if not (Hashtbl.mem t.lru.Lru.tbl k) then ignore (Lru.add t.lru k v);
+          Obs.set g_canon_entries (Lru.length t.lru))
 end
 
 (* ---------------- request parsing ---------------- *)
@@ -369,7 +437,9 @@ type solved = { log2_cost : float; seq : int array }
 
 type engine = {
   e_n : int;
-  e_canonical : string;  (* domain-prefixed canonical dump: the cache-key basis *)
+  e_canonical : unit -> string;
+      (* domain-prefixed canonical dump: the cache-key basis, taken only
+         on a front-map miss *)
   e_csg_bounded : limit:int -> int option;
   e_solve : Solver.entry -> string * solved;
   e_fallback : unit -> string * solved;
@@ -391,7 +461,7 @@ let rat_engine payload =
   in
   {
     e_n = N.n inst;
-    e_canonical = "rat\n" ^ Qo.Io.dump_rat inst;
+    e_canonical = (fun () -> "rat\n" ^ Qo.Io.dump_rat inst);
     e_csg_bounded = (fun ~limit -> CCP.csg_count_bounded ~limit inst);
     (* solves are sequential within a request (no pool): with --jobs
        the parallelism is across requests, not inside the DP *)
@@ -413,7 +483,7 @@ let log_engine payload =
   in
   {
     e_n = N.n inst;
-    e_canonical = "log\n" ^ Qo.Io.dump_log inst;
+    e_canonical = (fun () -> "log\n" ^ Qo.Io.dump_log inst);
     e_csg_bounded = (fun ~limit -> CCP.csg_count_bounded ~limit inst);
     e_solve =
       (fun e ->
@@ -436,35 +506,37 @@ let transition_ns cfg = function
 (* Decide, without doing the exact solve, whether its modelled cost
    exceeds the budget. For ccp the #csg factor is measured with a
    bounded enumeration whose own work is capped by [limit], i.e. by
-   the budget itself — estimating never costs more than the budget. *)
-let over_budget cfg req eng =
+   the budget itself — estimating never costs more than the budget.
+   Only that enumeration needs the parsed instance; the lattice model
+   needs just [n]. *)
+let over_budget cfg req ~n eng =
   match req.rq_budget_ms with
   | None -> false
   | Some budget_ms -> (
       let lattice_est () =
         (* Full-lattice regime: n * 2^n transitions. *)
-        let n = float_of_int eng.e_n in
+        let n = float_of_int n in
         n *. Float.pow 2. n *. transition_ns cfg req.rq_domain /. 1e6 > budget_ms
       in
       let csg_est () =
         (* Connected-DP regime: the #csg factor is measured with a
            bounded enumeration capped by the budget itself. *)
         let per_csg =
-          transition_ns cfg req.rq_domain *. float_of_int (max 1 eng.e_n)
+          transition_ns cfg req.rq_domain *. float_of_int (max 1 n)
         in
         let raw = budget_ms *. 1e6 /. per_csg in
         let limit =
           if Float.is_finite raw && raw < 1e9 then max 0 (int_of_float raw)
           else max_int - 1
         in
-        match eng.e_csg_bounded ~limit with
+        match (Lazy.force eng).e_csg_bounded ~limit with
         | None -> true
         | Some csg -> float_of_int csg *. per_csg /. 1e6 > budget_ms
       in
       match req.rq_algo.Solver.budget with
       | Solver.B_heuristic -> false
       | Solver.B_lattice -> lattice_est ()
-      | Solver.B_dense_then_csg dense_max when eng.e_n <= dense_max ->
+      | Solver.B_dense_then_csg dense_max when n <= dense_max ->
           lattice_est ()
       | Solver.B_csg | Solver.B_dense_then_csg _ -> csg_est ())
 
@@ -515,7 +587,7 @@ type batch = {
 (* Per-item outcome of the pure prepare phase. *)
 type prepared =
   | P_err of { id : string; code : string; msg : string }
-  | P_task of { req : request; eng : engine; approximate : bool; key : string }
+  | P_task of { req : request; eng : engine Lazy.t; approximate : bool; key : string }
 
 (* Per-item state between the turnstile cache pass and the solve/wait
    phases. *)
@@ -523,13 +595,13 @@ type step =
   | S_done of string  (** response fully rendered *)
   | S_solve of {
       req : request;
-      eng : engine;
+      eng : engine Lazy.t;
       approximate : bool;
       claim : Cache.entry option;
     }
   | S_await of {
       req : request;
-      eng : engine;
+      eng : engine Lazy.t;
       approximate : bool;
       entry : Cache.entry;
     }
@@ -544,7 +616,33 @@ let solver_msg = function
   | Invalid_argument m | Failure m -> m
   | e -> Printexc.to_string e
 
-let prepare_item cfg ~ord it =
+(* The plan-cache key basis of a payload: (canonical digest hex, n)
+   and the engine, lazy so that a front-map hit parses only if the
+   request later needs the instance — a plan-cache miss, a coalesced
+   wait that falls back, or a csg budget estimate. Identical bytes in
+   the same domain always parse to the same instance, so a hit's
+   forced engine is the one a miss would have built. *)
+let canonicalize front domain payload =
+  let engine () =
+    match domain with Rat -> rat_engine payload | Log -> log_engine payload
+  in
+  let fkey = Front.key domain payload in
+  match Front.find front fkey with
+  | Some (hex, n) ->
+      Obs.incr c_canon_hits;
+      Ok (hex, n, lazy (engine ()))
+  | None -> (
+      Obs.incr c_canon_misses;
+      match
+        let eng = engine () in
+        (eng, Digest.to_hex (Digest.string (eng.e_canonical ())))
+      with
+      | exception (Invalid_argument msg | Failure msg) -> Error msg
+      | eng, hex ->
+          Front.add front fkey (hex, eng.e_n);
+          Ok (hex, eng.e_n, Lazy.from_val eng))
+
+let prepare_item cfg front ~ord it =
   let default_id = string_of_int ord in
   match it with
   | I_junk line ->
@@ -575,32 +673,25 @@ let prepare_item cfg ~ord it =
                       (algo_name req.rq_algo);
                 }
           | Some payload -> (
-              match
-                try
-                  Ok
-                    (match req.rq_domain with
-                    | Rat -> rat_engine payload
-                    | Log -> log_engine payload)
-                with Invalid_argument msg | Failure msg -> Error msg
-              with
+              match canonicalize front req.rq_domain payload with
               | Error msg -> P_err { id = req.rq_id; code = "parse"; msg }
-              | Ok eng ->
+              | Ok (hex, n, eng) ->
                   let cap_name, cap = admission_cap req.rq_algo in
-                  if eng.e_n > cap then
+                  if n > cap then
                     P_err
                       {
                         id = req.rq_id;
                         code = "too-large";
                         msg =
-                          Printf.sprintf "n=%d exceeds %s (%d) for algo=%s" eng.e_n cap_name
-                            cap (algo_name req.rq_algo);
+                          Printf.sprintf "n=%d exceeds %s (%d) for algo=%s" n cap_name cap
+                            (algo_name req.rq_algo);
                       }
                   else
-                    let approximate = over_budget cfg req eng in
+                    let approximate = over_budget cfg req ~n eng in
                     let key =
                       Printf.sprintf "%s|%s|%s" (algo_name req.rq_algo)
                         (if approximate then "approx" else "exact")
-                        (Digest.to_hex (Digest.string eng.e_canonical))
+                        hex
                     in
                     P_task { req; eng; approximate; key })))
 
@@ -633,6 +724,7 @@ let fresh_tally () =
 type pipeline = {
   cfg : config;
   cache : Cache.t;
+  front : Front.t;
   st : stats;
   st_m : Mutex.t;
   io : io;
@@ -647,10 +739,11 @@ type pipeline = {
   mutable w_dead : bool;  (* transport dropped: discard further output *)
 }
 
-let make_pipeline ~cfg ~cache ~st io =
+let make_pipeline ~cfg ~cache ~front ~st io =
   {
     cfg;
     cache;
+    front;
     st;
     st_m = Mutex.create ();
     io;
@@ -749,6 +842,7 @@ let apply_tally p (t : tally) =
 let run_solve eng ~approximate req =
   match
     try
+      let eng = Lazy.force eng in
       let label, s = if approximate then eng.e_fallback () else eng.e_solve req.rq_algo in
       Ok (render_plan ~label ~log2_cost:s.log2_cost ~seq:s.seq)
     with e -> Error (solver_msg e)
@@ -786,7 +880,7 @@ let process_batch p b =
     Array.mapi
       (fun i it ->
         let t0 = Unix.gettimeofday () in
-        let r = prepare_item p.cfg ~ord:(b.b_first + i) it in
+        let r = prepare_item p.cfg p.front ~ord:(b.b_first + i) it in
         Obs.Histogram.record p.st.stages.h_prepare (ns (Unix.gettimeofday () -. t0));
         r)
       b.b_items
@@ -1165,9 +1259,9 @@ let reader_loop p ~batch_size ~submit ~finish =
   in
   join_workers ()
 
-let serve_session ?pool ~cfg ~cache ~st io =
+let serve_session ?pool ~cfg ~cache ~front ~st io =
   let jobs = match pool with Some pl -> Pool.jobs pl | None -> 1 in
-  let p = make_pipeline ~cfg ~cache ~st io in
+  let p = make_pipeline ~cfg ~cache ~front ~st io in
   let (), elapsed =
     Obs.time (fun () ->
         Obs.span "serve.loop" @@ fun () ->
@@ -1232,6 +1326,7 @@ let serve_io ?pool ?(config = default_config) ?stats io =
   let st = match stats with Some st -> st | None -> fresh_stats () in
   serve_session ?pool ~cfg:config
     ~cache:(Cache.create ~capacity:config.cache_capacity)
+    ~front:(Front.create ~capacity:config.cache_capacity)
     ~st io
 
 let io_of_channels ic oc =
@@ -1266,6 +1361,7 @@ let serve_string ?pool ?config input =
 
 let serve_socket ?pool ?(config = default_config) ?stats ?(max_conns = max_int) path =
   let cache = Cache.create ~capacity:config.cache_capacity in
+  let front = Front.create ~capacity:config.cache_capacity in
   let st = match stats with Some st -> st | None -> fresh_stats () in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1284,7 +1380,7 @@ let serve_socket ?pool ?(config = default_config) ?stats ?(max_conns = max_int) 
            incr served;
            let ic = Unix.in_channel_of_descr fd in
            let oc = Unix.out_channel_of_descr fd in
-           ignore (serve_session ?pool ~cfg:config ~cache ~st (io_of_channels ic oc));
+           ignore (serve_session ?pool ~cfg:config ~cache ~front ~st (io_of_channels ic oc));
            (try flush oc with Sys_error _ -> ());
            (try Unix.close fd with Unix.Unix_error _ -> ())
      done

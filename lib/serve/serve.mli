@@ -54,6 +54,21 @@
     entry goes first, found in O(1) through an intrusive recency list.
     Cache hits return the stored response body byte-for-byte.
 
+    A front map ahead of the plan cache lets a repeated payload skip
+    the parse: it maps (domain, MD5 of the raw payload bytes) to
+    (canonical digest, [n]), so a hit gets its cache key, admission
+    check and lattice budget estimate without {!Qo.Io}. The instance
+    is parsed only when the request needs it: a plan-cache miss, a
+    coalesced wait whose claimant failed, or a connected-subset budget
+    estimate. Keying on raw bytes rather than a lexical normalization
+    keeps {!Qo.Io} the only parser; a reformatted duplicate misses the
+    front map and still hits the plan cache. Only successful parses are
+    stored, so error responses are unchanged. Both maps are LRUs of
+    [config.cache_capacity] entries over one recency-list
+    implementation. Response bytes do not depend on the front map;
+    its [serve.canon.hits]/[serve.canon.misses] counters do depend on
+    scheduling at [jobs > 1] and are not part of {!stats}.
+
     [budget_ms] enforces a deterministic work model rather than a
     wall-clock timeout (so tests are reproducible): exact DP work is
     modelled as [n * 2^n] transitions, connected-DP work as
@@ -128,7 +143,8 @@ val admission_cap : Solver.entry -> string * int
 
 type config = {
   cache_capacity : int;
-      (** plan-cache entries before LRU eviction; [0] disables caching *)
+      (** plan-cache entries before LRU eviction, and the front map's
+          size; [0] disables both *)
   queue_capacity : int;  (** bounded request-queue depth, in batches *)
   batch_size : int;
       (** requests per worker batch. 1 (the default) keeps strict

@@ -54,16 +54,19 @@ let test_oracles_clean () =
 
 (* The registry's order and names are part of the report schema. *)
 let test_registry () =
-  check_int "registry size" 16 (List.length Fuzz.oracles);
+  check_int "registry size" 17 (List.length Fuzz.oracles);
   check "registry size floor" true (List.length Fuzz.oracles >= 15);
   check_str "trace-replay-det closes the registry" "trace-replay-det"
-    (List.nth Fuzz.oracles 15).Fuzz.name;
+    (List.nth Fuzz.oracles 16).Fuzz.name;
+  check_str "cached-vs-uncached follows served-control" "cached-vs-uncached"
+    (List.nth Fuzz.oracles 9).Fuzz.name;
   check_str "first oracle" "dp-vs-ccp" (List.hd Fuzz.oracles).Fuzz.name;
   let names = List.map (fun o -> o.Fuzz.name) Fuzz.oracles in
   check "ik-tree registered" true (List.mem "ik-tree" names);
   check "rat-vs-log registered" true (List.mem "rat-vs-log" names);
   check "ccp-words registered" true (List.mem "ccp-words" names);
   check "served-control registered" true (List.mem "served-control" names);
+  check "cached-vs-uncached registered" true (List.mem "cached-vs-uncached" names);
   (* solver-registry entrants are auto-covered *)
   check "milp-vs-dp registered" true (List.mem "milp-vs-dp" names);
   check "simpli-bound registered" true (List.mem "simpli-bound" names)

@@ -392,6 +392,141 @@ let test_lru_global () =
       Alcotest.(check int) "b evicted" 1 st.Serve.evictions
   | _ -> Alcotest.fail "no instances of both digest parities"
 
+(* ---------------- canonical-form front map ---------------- *)
+
+(* A repeated payload skips the parse through a front map keyed on the
+   raw bytes and the domain. These tests pin down that it only
+   memoizes: every response is the one a fresh, map-less run gives. *)
+
+let counter name = Option.value ~default:0 (List.assoc_opt name (Obs.snapshot ()))
+
+(* (canon hits, canon misses) made by one serve call *)
+let canon_counts f =
+  let h0 = counter "serve.canon.hits" and m0 = counter "serve.canon.misses" in
+  let r = f () in
+  (r, (counter "serve.canon.hits" - h0, counter "serve.canon.misses" - m0))
+
+let error_lines out =
+  List.filter (fun l -> String.length l > 7 && String.sub l 0 7 = "error: ")
+    (String.split_on_char '\n' out)
+
+(* The key includes the domain: the same bytes parse under rat but not
+   under log (1/2 is no log-domain scalar), so a key without it would
+   serve the log request from the rat entry. *)
+let test_front_domain_separation () =
+  let payload = chain_inst 4 in
+  let (out, st), (hits, misses) =
+    canon_counts (fun () ->
+        Serve.serve_string
+          (request ~header:"request id=r algo=dp domain=rat" payload
+          ^ request ~header:"request id=l algo=dp domain=log" payload
+          ^ request ~header:"request id=r2 algo=dp domain=rat" payload))
+  in
+  Alcotest.(check bool) "rat request ok" true (contains out "response id=r status=ok");
+  Alcotest.(check bool) "log request of the same bytes is still a parse error" true
+    (contains out "response id=l status=error code=parse");
+  Alcotest.(check bool) "rat repeat hits the plan cache" true
+    (contains out "response id=r2 status=ok algo=dp domain=rat cache=hit");
+  Alcotest.(check (pair int int)) "only the rat repeat is a front hit" (1, 2) (hits, misses);
+  Alcotest.(check int) "one parse error" 1 st.Serve.errors
+
+(* The budget decision is recomputed per request from the stored n: a
+   front hit under a tighter budget still falls back. *)
+let test_front_budget_recomputed () =
+  let payload = chain_inst 6 in
+  let out, _ =
+    Serve.serve_string
+      (request ~header:"request id=x algo=dp" payload
+      ^ request ~header:"request id=y algo=dp budget_ms=0" payload)
+  in
+  Alcotest.(check bool) "exact first" true
+    (contains out "response id=x status=ok algo=dp domain=rat cache=miss approximate=false");
+  Alcotest.(check bool) "front hit under budget 0 is approximate" true
+    (contains out "response id=y status=ok algo=dp domain=rat cache=miss approximate=true")
+
+(* ccp budgets count connected subsets, so a front hit must parse the
+   payload for the estimate. Chain-8 has 36 connected subsets at
+   8 x 100 ns each: 0.0288 ms of modelled work, so budget 0.02 falls
+   back and 0.04 stays exact. After a warm-up request fills the front
+   map, each budgeted request must answer what a fresh session
+   answers, up to the cache mark. *)
+let test_front_csg_budget () =
+  let payload = chain_inst 8 in
+  let budgeted b = request ~header:(Printf.sprintf "request id=b algo=ccp budget_ms=%s" b) payload in
+  let unmark s =
+    String.concat " "
+      (List.filter (fun t -> t <> "cache=hit" && t <> "cache=miss") (String.split_on_char ' ' s))
+  in
+  List.iter
+    (fun (b, approximate) ->
+      let (warm, _), (hits, _) =
+        canon_counts (fun () ->
+            Serve.serve_string (request ~header:"request id=w algo=ccp" payload ^ budgeted b))
+      in
+      let fresh, _ = Serve.serve_string (budgeted b) in
+      let last_block out = List.nth (blocks out) (List.length (blocks out) - 1) in
+      Alcotest.(check int) (b ^ ": budgeted request is a front hit") 1 hits;
+      Alcotest.(check (list string))
+        (b ^ ": front hit answers like a fresh session")
+        (List.map unmark (last_block fresh))
+        (List.map unmark (last_block warm));
+      Alcotest.(check bool) (b ^ ": approximate flag") true
+        (contains (List.hd (last_block warm)) (Printf.sprintf "approximate=%b" approximate)))
+    [ ("0.02", true); ("0.04", false) ]
+
+(* Rejections stay byte-stable: a too-large payload parses, so its
+   repeats are front hits answered from the stored n; a parse error is
+   never stored, so every repeat re-parses to the same message. *)
+let test_front_repeated_errors () =
+  let big = request ~header:"request id=big algo=dp" (chain_inst 24) in
+  let bad = request ~header:"request id=bad algo=dp" "qon 1\nn 2\nsize 0 x\n" in
+  let (out, st), (hits, misses) =
+    canon_counts (fun () -> Serve.serve_string (big ^ bad ^ big ^ bad ^ big ^ bad))
+  in
+  let errs = error_lines out in
+  Alcotest.(check int) "six error lines" 6 (List.length errs);
+  Alcotest.(check (list string)) "too-large line repeats exactly"
+    [ List.nth errs 0; List.nth errs 0 ] [ List.nth errs 2; List.nth errs 4 ];
+  Alcotest.(check (list string)) "parse-error line repeats exactly"
+    [ List.nth errs 1; List.nth errs 1 ] [ List.nth errs 3; List.nth errs 5 ];
+  Alcotest.(check bool) "too-large message" true
+    (contains (List.nth errs 0) "exceeds Opt.max_dp_n (23)");
+  Alcotest.(check int) "three rejections" 3 st.Serve.rejected;
+  Alcotest.(check (pair int int)) "too-large repeats hit, parse errors always miss" (2, 4)
+    (hits, misses)
+
+(* Counter semantics: hits + misses = requests that reached the payload
+   parse; capacity 0 disables the map with the plan cache; the map is
+   an LRU of the plan cache's capacity. *)
+let test_front_counters () =
+  let r n = request ~header:"request algo=dp" (chain_inst n) in
+  let (_, st), (hits, misses) =
+    canon_counts (fun () ->
+        Serve.serve_string
+          (r 3 ^ r 3 ^ "junk\n" ^ "request algo=nope\n" ^ chain_inst 3 ^ "end\n"
+          ^ request ~header:"request algo=milp domain=log" (chain_inst 3)
+          ^ request ~header:"request algo=dp" ("# variant\n" ^ chain_inst 3)))
+  in
+  Alcotest.(check int) "six requests" 6 st.Serve.requests;
+  Alcotest.(check (pair int int)) "repeat hits; comment variant misses; bad headers never \
+                                   reach the parse" (1, 2) (hits, misses);
+  let config0 = { Serve.default_config with Serve.cache_capacity = 0 } in
+  let _, (hits0, misses0) =
+    canon_counts (fun () -> Serve.serve_string ~config:config0 (r 3 ^ r 3 ^ r 3))
+  in
+  Alcotest.(check (pair int int)) "capacity 0 stores nothing" (0, 3) (hits0, misses0);
+  let at cap =
+    let config = { Serve.default_config with Serve.cache_capacity = cap } in
+    canon_counts (fun () -> Serve.serve_string ~config (r 2 ^ r 3 ^ r 4 ^ r 2))
+  in
+  let (out2, _), counts2 = at 2 and (out3, _), counts3 = at 3 in
+  Alcotest.(check (pair int int)) "cap + 1 distinct payloads evict the first" (0, 4) counts2;
+  Alcotest.(check (list string)) "with the plan cache" [ "miss"; "miss"; "miss"; "miss" ]
+    (cache_marks out2);
+  Alcotest.(check (pair int int)) "at capacity 3 it stays" (1, 3) counts3;
+  Alcotest.(check (list string)) "and hits both maps" [ "miss"; "miss"; "miss"; "hit" ]
+    (cache_marks out3)
+
 (* ---------------- concurrent pipeline ---------------- *)
 
 (* A mixed stream covering every response path: exact solves, a
@@ -797,6 +932,16 @@ let () =
           Alcotest.test_case "LRU eviction" `Quick test_cache_eviction;
           Alcotest.test_case "hit refreshes LRU recency" `Quick test_lru_refresh;
           Alcotest.test_case "LRU is global across digest prefixes" `Quick test_lru_global;
+        ] );
+      ( "front map",
+        [
+          Alcotest.test_case "key separates domains" `Quick test_front_domain_separation;
+          Alcotest.test_case "budget recomputed per request" `Quick
+            test_front_budget_recomputed;
+          Alcotest.test_case "csg budget on a front hit" `Quick test_front_csg_budget;
+          Alcotest.test_case "repeated errors are byte-stable" `Quick
+            test_front_repeated_errors;
+          Alcotest.test_case "counters, capacity 0, eviction" `Quick test_front_counters;
         ] );
       ( "concurrency",
         [
