@@ -536,24 +536,12 @@ let serve_concurrent_check ~requests ~jobs_list =
       Serve.default_config with
       Serve.cache_capacity = 1024;
       batch_size = 32;
-      (* keep the exact per-request latencies so the histogram
-         quantiles can be checked against ground truth below *)
-      record_exact_latencies = true;
     }
   in
   let run jobs =
     Obs.time (fun () ->
         if jobs <= 1 then Serve.serve_string ~config input
         else Pool.with_pool ~jobs (fun pool -> Serve.serve_string ~pool ~config input))
-  in
-  let stats_key (st : Serve.stats) =
-    ( st.Serve.requests,
-      st.Serve.ok,
-      st.Serve.errors,
-      st.Serve.rejected,
-      st.Serve.cache_hits,
-      st.Serve.cache_misses,
-      st.Serve.fallbacks )
   in
   (* A control block is valid when its header reports status=ok and its
      body is one line of schema-versioned JSON; the #stats snapshot must
@@ -590,34 +578,8 @@ let serve_concurrent_check ~requests ~jobs_list =
     && List.for_all (fun (h, body) -> header_ok h && json_ok body) controls
     && List.exists stats_has_progress controls
   in
-  (* exact nearest-rank percentile over the recorded per-request
-     latencies — the ground truth the histogram quantile must land
-     within one bucket width of *)
-  let exact_percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else
-      let rank = int_of_float (Float.round (q /. 100. *. float_of_int (n - 1))) in
-      sorted.(Stdlib.max 0 (Stdlib.min (n - 1) rank))
-  in
-  let hist_vs_exact (st : Serve.stats) =
-    let sorted = Array.of_list st.Serve.exact_latencies_ms in
-    Array.sort compare sorted;
-    List.map
-      (fun q ->
-        let hist_ms = Serve.latency_percentile st q in
-        let exact_ms = exact_percentile sorted q in
-        (* one bucket width at the exact value, in ms, plus 1ns of
-           slack for the float->int truncation when recording *)
-        let width_ms =
-          float_of_int (Obs.Histogram.width_at (int_of_float (exact_ms *. 1e6))) /. 1e6
-        in
-        let within = Float.abs (hist_ms -. exact_ms) <= width_ms +. 1e-6 in
-        (q, hist_ms, exact_ms, width_ms, within))
-      [ 50.; 95.; 99. ]
-  in
-  Printf.printf "%6s %10s %12s %9s %9s %9s %9s %14s %8s %9s\n" "jobs" "seconds" "req/s"
-    "speedup" "p50 ms" "p95 ms" "p99 ms" "byte-identical" "ctl-ok" "hist-ok";
+  Printf.printf "%6s %10s %12s %9s %9s %9s %9s %14s %8s\n" "jobs" "seconds" "req/s"
+    "speedup" "p50 ms" "p95 ms" "p99 ms" "byte-identical" "ctl-ok";
   let mismatches = ref 0 in
   let base = ref None in
   let rows =
@@ -633,7 +595,7 @@ let serve_concurrent_check ~requests ~jobs_list =
           | Some b -> b
         in
         let identical =
-          String.equal plain base_plain && stats_key st = stats_key base_st
+          String.equal plain base_plain && Serve.stats_key st = Serve.stats_key base_st
         in
         if not identical then begin
           incr mismatches;
@@ -645,29 +607,17 @@ let serve_concurrent_check ~requests ~jobs_list =
           Printf.printf "  MISMATCH jobs=%d invalid control responses (%d block(s))\n" jobs
             (List.length controls)
         end;
-        let hve = hist_vs_exact st in
-        List.iter
-          (fun (q, hist_ms, exact_ms, width_ms, within) ->
-            if not within then begin
-              incr mismatches;
-              Printf.printf
-                "  MISMATCH jobs=%d p%g histogram %.6fms vs exact %.6fms (width %.6fms)\n"
-                jobs q hist_ms exact_ms width_ms
-            end)
-          hve;
-        let hist_ok = List.for_all (fun (_, _, _, _, w) -> w) hve in
         let throughput = float_of_int st.Serve.requests /. seconds in
         let p50 = Serve.latency_percentile st 50.
         and p95 = Serve.latency_percentile st 95.
         and p99 = Serve.latency_percentile st 99. in
-        Printf.printf "%6d %10.3f %12.0f %8.2fx %9.3f %9.3f %9.3f %14s %8s %9s\n" jobs
+        Printf.printf "%6d %10.3f %12.0f %8.2fx %9.3f %9.3f %9.3f %14s %8s\n" jobs
           seconds throughput
           (if seconds > 0.0 then base_s /. seconds else Float.nan)
           p50 p95 p99
           (if identical then "yes" else "NO")
-          (if control_ok then "yes" else "NO")
-          (if hist_ok then "yes" else "NO");
-        (jobs, st, seconds, throughput, p50, p95, p99, identical, control_ok, hve))
+          (if control_ok then "yes" else "NO");
+        (jobs, st, seconds, throughput, p50, p95, p99, identical, control_ok))
       jobs_list
   in
   (!mismatches, config, rows)
@@ -685,7 +635,7 @@ let serve_concurrent_json ~requests ~(config : Serve.config) rows =
       ( "rows",
         Arr
           (List.map
-             (fun (jobs, st, seconds, throughput, p50, p95, p99, identical, control_ok, hve) ->
+             (fun (jobs, st, seconds, throughput, p50, p95, p99, identical, control_ok) ->
                Obj
                  [
                    ("jobs", Int jobs);
@@ -703,19 +653,6 @@ let serve_concurrent_json ~requests ~(config : Serve.config) rows =
                    ("p99_ms", Float p99);
                    ("byte_identical_to_sequential", Bool identical);
                    ("control_ok", Bool control_ok);
-                   ( "hist_vs_exact",
-                     Arr
-                       (List.map
-                          (fun (q, hist_ms, exact_ms, width_ms, within) ->
-                            Obj
-                              [
-                                ("q", Float q);
-                                ("hist_ms", Float hist_ms);
-                                ("exact_ms", Float exact_ms);
-                                ("width_ms", Float width_ms);
-                                ("within", Bool within);
-                              ])
-                          hve) );
                  ])
              rows) );
     ]
@@ -728,7 +665,9 @@ let serve_concurrent_json ~requests ~(config : Serve.config) rows =
    sample count. The old strategy is emulated here verbatim (append a
    32-element batch, re-sort) on a reduced sample count because running
    it at 100k would dominate the whole bench; rates are per-sample so
-   the two sides stay comparable. *)
+   the two sides stay comparable. The 100k histogram samples also pin
+   the histogram quantiles to the exact nearest-rank percentiles of
+   the same samples, within one bucket width ([hist_vs_exact]). *)
 
 let latency_store_check () =
   let hist_samples = 100_000 and old_samples = 20_000 and batch = 32 in
@@ -768,9 +707,28 @@ let latency_store_check () =
   Printf.printf "  speedup %.1fx; memory: %d buckets (fixed) vs %d stored floats (grows)\n"
     (if old_rate > 0.0 then hist_rate /. old_rate else Float.nan)
     Obs.Histogram.bucket_count (List.length !store);
+  let sorted = Array.init hist_samples (fun i -> int_of_float (sample i *. 1e6)) in
+  Array.sort compare sorted;
+  let snap = Obs.Histogram.snap h in
+  let ms ns = float_of_int ns /. 1e6 in
+  let hist_vs_exact =
+    List.map
+      (fun q ->
+        let rank = int_of_float (Float.round (q /. 100. *. float_of_int (hist_samples - 1))) in
+        let exact = sorted.(rank) and hist = Obs.Histogram.quantile snap q in
+        let width = Obs.Histogram.width_at exact in
+        let within = abs (hist - exact) <= width in
+        Printf.printf "  p%g: histogram %.6fms vs exact %.6fms (width %.6fms)%s\n" q (ms hist)
+          (ms exact) (ms width)
+          (if within then "" else "  MISMATCH");
+        (q, hist, exact, width, within))
+      [ 50.; 95.; 99. ]
+  in
+  let mismatches = List.length (List.filter (fun (_, _, _, _, w) -> not w) hist_vs_exact) in
   let open Obs.Json in
-  Obj
-    [
+  ( mismatches,
+    Obj
+      [
       ("hist_samples", Int hist_samples);
       ("hist_seconds", Float hist_s);
       ("hist_samples_per_s", Float hist_rate);
@@ -780,7 +738,20 @@ let latency_store_check () =
       ("speedup", Float (if old_rate > 0.0 then hist_rate /. old_rate else Float.nan));
       ("hist_buckets", Int Obs.Histogram.bucket_count);
       ("old_store_entries", Int (List.length !store));
-    ]
+      ( "hist_vs_exact",
+        Arr
+          (List.map
+             (fun (q, hist, exact, width, within) ->
+               Obj
+                 [
+                   ("q", Float q);
+                   ("hist_ms", Float (ms hist));
+                   ("exact_ms", Float (ms exact));
+                   ("width_ms", Float (ms width));
+                   ("within", Bool within);
+                 ])
+             hist_vs_exact) );
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* A fuzz campaign as a bench row: 300 seeded runs through the full
@@ -861,18 +832,16 @@ let trace_json rows =
   Arr
     (List.map
        (fun (skew, st, seconds) ->
+         let counts = Serve.counts_json st in
          Obj
-           [
-             ("skew", Float skew);
-             ("requests", Int st.Serve.requests);
-             ("cache_hits", Int st.Serve.cache_hits);
-             ("cache_misses", Int st.Serve.cache_misses);
-             ("coalesced", Int st.Serve.coalesced);
-             ("evictions", Int st.Serve.evictions);
-             ("cache_entries", Int st.Serve.cache_entries);
-             ("cache_hit_rate", Float (Serve.hit_rate st));
-             ("errors", Int st.Serve.errors);
-             ("fallbacks", Int st.Serve.fallbacks);
+           ((("skew", Float skew)
+            :: List.map
+                 (fun k -> (k, List.assoc k counts))
+                 [
+                   "requests"; "cache_hits"; "cache_misses"; "coalesced"; "evictions";
+                   "cache_entries"; "cache_hit_rate"; "errors"; "fallbacks";
+                 ])
+           @ [
              ("seconds", Float seconds);
              ("requests_per_s", Float (float_of_int st.Serve.requests /. seconds));
              ( "latency_ms",
@@ -884,7 +853,7 @@ let trace_json rows =
                  ] );
              ( "prepare_us",
                Obj [ ("p50", Float (prepare_us st 50.)); ("p99", Float (prepare_us st 99.)) ] );
-           ])
+           ]))
        rows)
 
 (* Competitive ratios on the f_N hard family, driven by the solver
@@ -1104,7 +1073,8 @@ let serve_concurrent_smoke ~requests =
   let mismatches, config, rows =
     serve_concurrent_check ~requests ~jobs_list:[ 1; 2 ]
   in
-  let latency_store = latency_store_check () in
+  let latency_mismatches, latency_store = latency_store_check () in
+  let mismatches = mismatches + latency_mismatches in
   let open Obs.Json in
   let report =
     Obj
@@ -1116,7 +1086,7 @@ let serve_concurrent_smoke ~requests =
       ]
   in
   write_file "serve-concurrent-smoke.json" report;
-  Printf.printf "\nwrote serve-concurrent-smoke.json (%d byte mismatch(es))\n" mismatches;
+  Printf.printf "\nwrote serve-concurrent-smoke.json (%d mismatch(es))\n" mismatches;
   exit (if mismatches > 0 then 1 else 0)
 
 (* CI smoke mode: `--conv` runs only the conv-vs-ccp check (downsampled
@@ -1195,7 +1165,7 @@ let () =
   let conc_mismatches, conc_config, conc_rows =
     serve_concurrent_check ~requests:conc_requests ~jobs_list:[ 1; 2; 4 ]
   in
-  let latency_store_row = latency_store_check () in
+  let latency_mismatches, latency_store_row = latency_store_check () in
   let trace_violations, trace_rows = trace_skew_check () in
   let fuzz_fails, fuzz_r, fuzz_s, fuzz_tput = fuzz_campaign_check ~jobs:(Stdlib.max jobs 2) in
   let competitive = competitive_ratio_check () in
@@ -1210,6 +1180,6 @@ let () =
     ~competitive ~trace_rows;
   if
     fails <> [] || dp_mismatches > 0 || ccp_mismatches > 0 || conv_mismatches > 0
-    || serve_mismatches > 0 || conc_mismatches > 0 || fuzz_fails > 0
+    || serve_mismatches > 0 || conc_mismatches > 0 || latency_mismatches > 0 || fuzz_fails > 0
     || trace_violations > 0
   then exit 1

@@ -363,29 +363,14 @@ let optimize_cmd =
 
 (* ---------------- serve ---------------- *)
 
-let serve_cmd =
-  let socket =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:
-            "Listen on a Unix-domain socket at $(docv) (connections served sequentially, \
-             one shared plan cache) instead of serving stdin/stdout.")
-  in
+(* The pipeline flags [serve] and [replay] share, as one Serve.config. *)
+let serve_config_term =
   let cache_size =
     Arg.(
       value
-      & opt int 256
+      & opt int Serve.default_config.Serve.cache_capacity
       & info [ "cache-size" ] ~docv:"N"
           ~doc:"Plan-cache capacity in entries before LRU eviction; 0 disables caching.")
-  in
-  let report_term =
-    let doc =
-      "Write a schema-versioned JSON serving report (request totals, cache-hit rate, \
-       latency percentiles, counters, spans) to $(docv) on shutdown."
-    in
-    Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
   in
   let queue_size =
     Arg.(
@@ -406,6 +391,33 @@ let serve_cmd =
              request/response interleaving for interactive clients; bulk streams can \
              raise it to amortise hand-off costs. Response bytes are unaffected.")
   in
+  let config cache_size queue_size batch_size =
+    {
+      Serve.default_config with
+      Serve.cache_capacity = cache_size;
+      queue_capacity = max 1 queue_size;
+      batch_size = max 1 batch_size;
+    }
+  in
+  Term.(const config $ cache_size $ queue_size $ batch_size)
+
+let serve_cmd =
+  let socket =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "socket" ] ~docv:"PATH"
+          ~doc:
+            "Listen on a Unix-domain socket at $(docv) (connections served sequentially, \
+             one shared plan cache) instead of serving stdin/stdout.")
+  in
+  let report_term =
+    let doc =
+      "Write a schema-versioned JSON serving report (request totals, cache-hit rate, \
+       latency percentiles, counters, spans) to $(docv) on shutdown."
+    in
+    Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
+  in
   let metrics_file =
     Arg.(
       value
@@ -424,18 +436,9 @@ let serve_cmd =
       & info [ "metrics-interval" ] ~docv:"S"
           ~doc:"Seconds between heartbeat snapshots (with --metrics-file; default 1.0).")
   in
-  let run socket cache_size queue_size batch_size jobs stats trace report metrics_file
-      metrics_interval =
+  let run socket config jobs stats trace report metrics_file metrics_interval =
     let jobs = resolve_jobs jobs in
     setup_obs stats trace;
-    let config =
-      {
-        Serve.default_config with
-        Serve.cache_capacity = cache_size;
-        queue_capacity = max 1 queue_size;
-        batch_size = max 1 batch_size;
-      }
-    in
     (* graceful shutdown: stop reading, drain every accepted request
        through the workers, then fall out of the loop with
        interrupted=true and still write the report *)
@@ -512,8 +515,8 @@ let serve_cmd =
           behind a bounded queue; responses stay byte-identical to --jobs 1. In-band \
           #stats/#health/#hist control requests and --metrics-file heartbeats expose \
           live latency histograms.")
-    Term.(const run $ socket $ cache_size $ queue_size $ batch_size $ jobs_term
-          $ stats_term $ trace_term $ report_term $ metrics_file $ metrics_interval)
+    Term.(const run $ socket $ serve_config_term $ jobs_term $ stats_term $ trace_term
+          $ report_term $ metrics_file $ metrics_interval)
 
 (* ---------------- fuzz ---------------- *)
 
@@ -854,25 +857,6 @@ let replay_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"TRACE" ~doc:"Trace file produced by $(b,qopt gen --trace).")
   in
-  let cache_size =
-    Arg.(
-      value
-      & opt int Serve.default_config.Serve.cache_capacity
-      & info [ "cache-size" ] ~docv:"N"
-          ~doc:"Plan-cache capacity in entries before LRU eviction; 0 disables caching.")
-  in
-  let queue_size =
-    Arg.(
-      value
-      & opt int Serve.default_config.Serve.queue_capacity
-      & info [ "queue-size" ] ~docv:"N" ~doc:"Bounded request-queue depth (in batches).")
-  in
-  let batch_size =
-    Arg.(
-      value
-      & opt int Serve.default_config.Serve.batch_size
-      & info [ "batch-size" ] ~docv:"N" ~doc:"Requests handed to a worker at a time.")
-  in
   let probe_every =
     Arg.(
       value
@@ -907,18 +891,9 @@ let replay_cmd =
       & info [ "quiet"; "q" ]
           ~doc:"Suppress the response transcript on stdout (summary and report remain).")
   in
-  let run file cache_size queue_size batch_size probe_every report check_id quiet jobs
-      stats trace =
+  let run file config probe_every report check_id quiet jobs stats trace =
     let jobs = resolve_jobs jobs in
     setup_obs stats trace;
-    let config =
-      {
-        Serve.default_config with
-        Serve.cache_capacity = cache_size;
-        queue_capacity = max 1 queue_size;
-        batch_size = max 1 batch_size;
-      }
-    in
     let trace_text = In_channel.with_open_bin file In_channel.input_all in
     let replay_at jobs =
       if jobs > 1 then
@@ -932,7 +907,7 @@ let replay_cmd =
         let other = if jobs > 1 then 1 else 2 in
         let out2, st2, _ = replay_at other in
         let b1, _ = Serve.split_control out and b2, _ = Serve.split_control out2 in
-        let same = b1 = b2 && Trace.stats_key st = Trace.stats_key st2 in
+        let same = b1 = b2 && Serve.stats_key st = Serve.stats_key st2 in
         if not same then
           Printf.eprintf
             "qopt replay: DIVERGENCE between jobs=%d and jobs=%d (%d vs %d non-control \
@@ -960,8 +935,8 @@ let replay_cmd =
           (hit rate, coalescing, throughput, per-stage latency percentiles, \
           hostile-tail error accounting). Non-control responses are byte-identical at \
           every --jobs (--check-identity verifies).")
-    Term.(const run $ file $ cache_size $ queue_size $ batch_size $ probe_every
-          $ report_term $ check_identity $ quiet $ jobs_term $ stats_term $ trace_term)
+    Term.(const run $ file $ serve_config_term $ probe_every $ report_term $ check_identity
+          $ quiet $ jobs_term $ stats_term $ trace_term)
 
 (* ---------------- chain ---------------- *)
 

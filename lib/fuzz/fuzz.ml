@@ -457,14 +457,11 @@ module Checks (D : DOMAIN) = struct
       let par_out, par_st =
         Pool.with_pool ~jobs:2 (fun pool -> Serve.serve_string ~pool input)
       in
-      let key (st : Serve.stats) =
-        (st.requests, st.ok, st.errors, st.cache_hits, st.cache_misses, st.fallbacks)
-      in
       if seq_out <> par_out then
         Fail
           (Printf.sprintf "concurrent serve output differs from sequential: %S <> %S"
              par_out seq_out)
-      else if key par_st <> key seq_st then
+      else if Serve.stats_key par_st <> Serve.stats_key seq_st then
         Fail "concurrent serve stats differ from sequential"
       else Pass
     end
@@ -493,9 +490,6 @@ module Checks (D : DOMAIN) = struct
       let plain_out, plain_st = Serve.serve_string plain_in in
       let ctl_out, ctl_st = Serve.serve_string ctl_in in
       let stripped, ctls = Serve.split_control ctl_out in
-      let key (st : Serve.stats) =
-        (st.requests, st.ok, st.errors, st.cache_hits, st.cache_misses, st.fallbacks)
-      in
       let ok_header h =
         match String.split_on_char ' ' h with
         | "control" :: _ :: "status=ok" :: _ -> true
@@ -519,7 +513,7 @@ module Checks (D : DOMAIN) = struct
         Fail
           (Printf.sprintf "non-control bytes perturbed by controls: %S <> %S" stripped
              plain_out)
-      else if key ctl_st <> key plain_st then
+      else if Serve.stats_key ctl_st <> Serve.stats_key plain_st then
         Fail "stats perturbed by control requests"
       else if List.length ctls <> 4 then
         Fail (Printf.sprintf "expected 4 control blocks, got %d" (List.length ctls))

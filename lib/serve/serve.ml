@@ -6,33 +6,34 @@
      parse/admission/solver failures into structured error responses;
    - byte-identity with one-shot CLI output: plan lines go through
      [render_plan], the same function `qopt optimize` prints with;
-   - byte-identity across --jobs: the sequential and concurrent paths
-     run the very same pipeline below (read -> prepare -> turnstile
-     cache pass -> solve -> in-order commit); at jobs=1 it simply runs
-     inline, so `serve --jobs N` output is the jobs=1 output;
+   - byte-identity across --jobs: every front-map lookup, parse,
+     admission and budget decision and every plan-cache
+     lookup/claim/eviction runs on the reader, in arrival order, at
+     any --jobs, so `serve --jobs N` output, cache decisions and stats
+     totals are the jobs=1 ones by construction;
    - deterministic budgets: [budget_ms] is checked against a work
      model (transitions x ns/transition), never a wall clock, so the
      exact-vs-approximate decision is reproducible in tests.
 
-   Concurrency layout (jobs > 1): the calling domain is the reader. It
-   assigns every item (request or junk line) its arrival ordinal,
-   groups items into batches of [config.batch_size], and pushes them
-   into a bounded {!Pool.Chan} — a full channel blocks the reader,
-   which is the backpressure signal. [jobs - 1] pool workers drain the
-   channel. Each worker prepares its batch (parse, admission, budget —
-   all pure), then passes a turnstile that serialises the cache pass in
-   batch order: because every lookup/claim/evict happens in exactly the
-   arrival order the sequential loop would use, hit/miss/eviction
-   decisions — and therefore response bytes — are identical to jobs=1.
-   Solves then run outside the turnstile, in parallel across batches; a
-   claimed-but-unfilled entry is observed by later same-key requests as
-   a Pending hit that they await (request coalescing: the plan is
-   computed once). Finished batches land in a reorder buffer; whichever
-   worker completes the next-in-order batch writes out every
+   Pipeline: the calling domain is the reader. It assigns every item
+   (request or junk line) its arrival ordinal, groups items into
+   batches of [config.batch_size] and runs the reader pass on each
+   batch: prepare (front-map lookup, parse on a front miss, admission,
+   budget, key), then the cache lookup/claim. A claimed-but-unfilled
+   entry is seen by later same-key requests as a Pending hit that they
+   await (request coalescing: the plan is computed once). A batch that
+   still needs a solve or a coalesced wait goes to the worker half;
+   one whose every item is already answered (hits and errors) is
+   committed by the reader itself. At jobs=1 both halves run inline.
+   At jobs > 1 the worker half runs on [jobs - 1] pool workers fed by
+   a bounded {!Pool.Chan} — a full channel blocks the reader, which is
+   the backpressure signal. Finished batches land in a reorder buffer;
+   whoever completes the next-in-order batch writes out every
    consecutive ready batch. SIGTERM raises {!Shutdown} on the reader
    (OCaml delivers signals to the main domain), which stops reading,
-   submits the partial batch, closes the channel, and joins the workers
-   — every accepted request is answered before the report is cut. *)
+   submits the partial batch, closes the channel, and joins the
+   workers — every accepted request is answered before the report is
+   cut. *)
 
 exception Shutdown
 
@@ -46,7 +47,6 @@ type config = {
   batch_size : int;
   rat_transition_ns : float;
   log_transition_ns : float;
-  record_exact_latencies : bool;
 }
 
 let default_config =
@@ -56,7 +56,6 @@ let default_config =
     batch_size = 1;
     rat_transition_ns = 100.;
     log_transition_ns = 10.;
-    record_exact_latencies = false;
   }
 
 (* Per-stage latency series (integer nanoseconds). Each pipeline stage
@@ -87,7 +86,6 @@ type stats = {
   mutable interrupted : bool;
   latency : Obs.Histogram.t;
   stages : stage_hists;
-  mutable exact_latencies_ms : float list;
 }
 
 let fresh_stats () =
@@ -113,7 +111,6 @@ let fresh_stats () =
         h_solve = Obs.Histogram.create ();
         h_commit = Obs.Histogram.create ();
       };
-    exact_latencies_ms = [];
   }
 
 let latency_series st =
@@ -129,6 +126,32 @@ let latency_series st =
 let hit_rate st =
   let lookups = st.cache_hits + st.cache_misses in
   if lookups = 0 then 0. else float_of_int st.cache_hits /. float_of_int lookups
+
+let counts_json st =
+  let open Obs.Json in
+  [
+    ("requests", Int st.requests);
+    ("ok", Int st.ok);
+    ("errors", Int st.errors);
+    ("rejected", Int st.rejected);
+    ("cache_hits", Int st.cache_hits);
+    ("cache_misses", Int st.cache_misses);
+    ("coalesced", Int st.coalesced);
+    ("cache_entries", Int st.cache_entries);
+    ("evictions", Int st.evictions);
+    ("fallbacks", Int st.fallbacks);
+    ("cache_hit_rate", Float (hit_rate st));
+  ]
+
+let stats_key st =
+  ( st.requests,
+    st.ok,
+    st.errors,
+    st.rejected,
+    st.cache_hits,
+    st.cache_misses,
+    st.evictions,
+    st.fallbacks )
 
 type io = {
   next_line : unit -> string option;
@@ -174,7 +197,8 @@ let render_plan ~label ~log2_cost ~seq =
    doubly-linked recency list: [mru] is the most recently used node and
    [mru.newer] — wrapping round — the least, so a hit moves its node to
    the front and eviction drops the back, both O(1). Unsynchronised:
-   each owner guards it with its own lock. *)
+   the plan cache guards it with its lock; the front map is the
+   reader's alone. *)
 module Lru = struct
   type ('k, 'v) node = {
     key : 'k;
@@ -249,14 +273,15 @@ end
 
 (* ---------------- plan cache ---------------- *)
 
-(* One table, one lock. Every lookup already runs in arrival order
-   under the pipeline's turnstile, so finer locking would buy no
-   concurrency; only fills and coalesced waits happen outside it. *)
+(* One table, one lock. Every lookup runs on the reader in arrival
+   order, so finer locking would buy no concurrency; the lock orders
+   the reader's claims against the workers' fills and coalesced
+   waits. *)
 module Cache = struct
-  (* An entry is claimed (Pending) at lookup time, in arrival order
-     under the turnstile, and filled once its solve completes. Claiming
-     at lookup time makes every hit/miss/eviction decision depend only
-     on the requests before it, never on how the solves interleave. *)
+  (* An entry is claimed (Pending) at lookup time, in arrival order on
+     the reader, and filled once its solve completes. Claiming at
+     lookup time makes every hit/miss/eviction decision depend only on
+     the requests before it, never on how the solves interleave. *)
   type state =
     | Pending
     | Ready of { body : string; approximate : bool }
@@ -271,7 +296,7 @@ module Cache = struct
 
   let locked t f = Mutex.protect t.m f
 
-  (* The pipeline's one cache pass per request, under the turnstile. *)
+  (* The pipeline's one cache pass per request, on the reader. *)
   type lookup =
     | Hit_ready of string * bool
     | Hit_pending of entry
@@ -297,14 +322,17 @@ module Cache = struct
         e.Lru.value <- Ready { body; approximate };
         Condition.broadcast t.filled)
 
-  (* Solver error on a claimed entry: withdraw it (unless already
-     evicted) so later requests re-solve as misses; anyone already
-     awaiting re-solves on Failed. *)
+  (* A claim that will not be filled (its solve errored, or its batch
+     failed): withdraw it (unless already evicted) so later requests
+     re-solve as misses; anyone already awaiting re-solves on Failed.
+     A filled entry is left alone. *)
   let abandon t (e : entry) =
     locked t (fun () ->
-        e.Lru.value <- Failed;
-        Lru.remove t.lru e;
-        Condition.broadcast t.filled)
+        if e.Lru.value = Pending then begin
+          e.Lru.value <- Failed;
+          Lru.remove t.lru e;
+          Condition.broadcast t.filled
+        end)
 
   let await t (e : entry) =
     locked t (fun () ->
@@ -324,31 +352,24 @@ end
    bytes rather than a lexical normalization: a normalizer would be a
    second parser that must agree with [Qo.Io.parse_*] on every byte,
    or it maps an invalid payload onto a valid one's key. Only
-   successful parses are stored. [prepare] runs in parallel at
-   jobs > 1, so the map has its own lock, never held across a parse;
-   which request fills an entry first then depends on scheduling, so
-   its hit/miss counts are not jobs-invariant (response bytes are). *)
+   successful parses are stored. Only the reader touches it, in
+   arrival order, so it needs no lock and its hit/miss counts are
+   jobs-invariant. *)
 module Front = struct
-  type t = { m : Mutex.t; lru : (string, string * int) Lru.t }
+  type t = (string, string * int) Lru.t
 
-  let create ~capacity = { m = Mutex.create (); lru = Lru.create ~capacity }
+  let create ~capacity : t = Lru.create ~capacity
 
   (* domain names are all three bytes, so the concatenation is unambiguous *)
   let key domain payload = domain_name domain ^ Digest.string payload
 
-  let find t k =
-    if t.lru.Lru.cap = 0 then None
-    else
-      Mutex.protect t.m (fun () ->
-          Option.map (fun (e : _ Lru.node) -> e.Lru.value) (Lru.find t.lru k))
+  let find (t : t) k = Option.map (fun (e : _ Lru.node) -> e.Lru.value) (Lru.find t k)
 
-  (* A racing worker may have stored the same key meanwhile; its value
-     is the same, so the first one stays. *)
-  let add t k v =
-    if t.lru.Lru.cap > 0 then
-      Mutex.protect t.m (fun () ->
-          if not (Hashtbl.mem t.lru.Lru.tbl k) then ignore (Lru.add t.lru k v);
-          Obs.set g_canon_entries (Lru.length t.lru))
+  let add (t : t) k v =
+    if t.Lru.cap > 0 then begin
+      ignore (Lru.add t k v);
+      Obs.set g_canon_entries (Lru.length t)
+    end
 end
 
 (* ---------------- request parsing ---------------- *)
@@ -577,20 +598,12 @@ type item =
   | I_req of { toks : string list; payload : string option }
       (** [payload = None]: EOF before the terminating "end" *)
 
-type batch = {
-  b_idx : int;  (** dense batch number: turnstile ticket + commit slot *)
-  b_first : int;  (** arrival ordinal (1-based) of the first item *)
-  b_items : item array;
-  b_t0 : float;  (** enqueue time, for latency percentiles *)
-}
-
-(* Per-item outcome of the pure prepare phase. *)
+(* Per-item outcome of prepare. *)
 type prepared =
   | P_err of { id : string; code : string; msg : string }
   | P_task of { req : request; eng : engine Lazy.t; approximate : bool; key : string }
 
-(* Per-item state between the turnstile cache pass and the solve/wait
-   phases. *)
+(* Per-item state between the reader pass and the worker half. *)
 type step =
   | S_done of string  (** response fully rendered *)
   | S_solve of {
@@ -721,6 +734,16 @@ let fresh_tally () =
     t_fb = 0;
   }
 
+type batch = {
+  b_idx : int;  (** dense batch number: commit slot *)
+  b_first : int;  (** arrival ordinal (1-based) of the first item *)
+  b_items : item array;
+  b_t0 : float;  (** formation time, for end-to-end latency *)
+  b_steps : step array;  (** one per item, stored by the reader pass as it goes *)
+  b_tally : tally;
+  mutable b_ready : float;  (** end of the reader pass: queue wait starts here *)
+}
+
 type pipeline = {
   cfg : config;
   cache : Cache.t;
@@ -728,13 +751,10 @@ type pipeline = {
   st : stats;
   st_m : Mutex.t;
   io : io;
-  (* turnstile: serialises the cache pass in batch-arrival order *)
-  ts_m : Mutex.t;
-  ts_c : Condition.t;
-  mutable ts_next : int;
   (* in-order commit: reorder buffer + cooperative writer *)
   w_m : Mutex.t;
-  w_buf : (int, string array) Hashtbl.t;  (* rendered responses per batch *)
+  w_buf : (int, string array * float) Hashtbl.t;
+      (* rendered responses and formation time per batch *)
   mutable w_next : int;
   mutable w_dead : bool;  (* transport dropped: discard further output *)
 }
@@ -747,55 +767,29 @@ let make_pipeline ~cfg ~cache ~front ~st io =
     st;
     st_m = Mutex.create ();
     io;
-    ts_m = Mutex.create ();
-    ts_c = Condition.create ();
-    ts_next = 0;
     w_m = Mutex.create ();
     w_buf = Hashtbl.create 16;
     w_next = 0;
     w_dead = false;
   }
 
-let await_turn p i =
-  Mutex.lock p.ts_m;
-  while p.ts_next < i do
-    Condition.wait p.ts_c p.ts_m
-  done;
-  Mutex.unlock p.ts_m
-
-let advance_turn p =
-  Mutex.lock p.ts_m;
-  p.ts_next <- p.ts_next + 1;
-  Condition.broadcast p.ts_c;
-  Mutex.unlock p.ts_m
+let ns dt = int_of_float (dt *. 1e9)
 
 (* Deliver a finished batch: park it in the reorder buffer and write
-   out every consecutive ready batch. Transport errors mark the writer
+   out every consecutive ready batch. Each written request records one
+   end-to-end latency sample (batch formed -> written), so time parked
+   behind an earlier batch counts. Transport errors mark the writer
    dead rather than killing the worker — the remaining pipeline drains
    (responses discarded), matching the sequential loop's "connection is
    over" handling. *)
-let commit p b_idx responses lat_ms =
-  (* One end-to-end sample (enqueue -> commit) per request in the
-     batch. Histogram recording is lock-free on this domain's cells —
-     O(buckets) memory total, unlike the old sorted-array store that
-     appended + re-sorted every batch and grew with the request
-     count. *)
-  let lat_ns = int_of_float (lat_ms *. 1e6) in
-  for _ = 1 to Array.length responses do
-    Obs.Histogram.record p.st.latency lat_ns;
-    Obs.Histogram.record h_latency lat_ns
-  done;
+let commit p b responses =
   Mutex.lock p.w_m;
   match
-    Hashtbl.replace p.w_buf b_idx responses;
-    if p.cfg.record_exact_latencies then
-      for _ = 1 to Array.length responses do
-        p.st.exact_latencies_ms <- lat_ms :: p.st.exact_latencies_ms
-      done;
+    Hashtbl.replace p.w_buf b.b_idx (responses, b.b_t0);
     let rec drain () =
       match Hashtbl.find_opt p.w_buf p.w_next with
       | None -> ()
-      | Some rs ->
+      | Some (rs, t0) ->
           Hashtbl.remove p.w_buf p.w_next;
           p.w_next <- p.w_next + 1;
           if not p.w_dead then
@@ -806,6 +800,12 @@ let commit p b_idx responses lat_ms =
                    p.io.flush ())
                  rs
              with Sys_error _ -> p.w_dead <- true);
+          let lat_ns = ns (Unix.gettimeofday () -. t0) in
+          Array.iter
+            (fun _ ->
+              Obs.Histogram.record p.st.latency lat_ns;
+              Obs.Histogram.record h_latency lat_ns)
+            rs;
           drain ()
     in
     drain ()
@@ -839,42 +839,42 @@ let apply_tally p (t : tally) =
   Obs.add c_coalesced t.t_coal;
   Obs.add c_fallbacks t.t_fb
 
+(* A solver failure becomes that request's error response; a shutdown
+   signal landing mid-solve is not a solver failure, so it propagates
+   to [fail_batch] and ends the session. *)
 let run_solve eng ~approximate req =
   match
-    try
-      let eng = Lazy.force eng in
-      let label, s = if approximate then eng.e_fallback () else eng.e_solve req.rq_algo in
-      Ok (render_plan ~label ~log2_cost:s.log2_cost ~seq:s.seq)
-    with e -> Error (solver_msg e)
+    let eng = Lazy.force eng in
+    if approximate then eng.e_fallback () else eng.e_solve req.rq_algo
   with
-  | Ok body -> Ok body
-  | Error msg -> Error msg
+  | label, s -> Ok (render_plan ~label ~log2_cost:s.log2_cost ~seq:s.seq)
+  | exception Shutdown -> raise Shutdown
+  | exception e -> Error (solver_msg e)
 
-let process_batch p b =
-  let nreq = Array.length b.b_items in
-  let t_start = Unix.gettimeofday () in
-  let ns dt = int_of_float (dt *. 1e9) in
-  let record_each h v = for _ = 1 to nreq do Obs.Histogram.record h v done in
-  (* queue wait: enqueue-to-dequeue, shared by every request in the
-     batch (they were enqueued together) *)
-  record_each p.st.stages.h_queue_wait (ns (t_start -. b.b_t0));
-  (* The span keeps the stable "serve.batch" name when tracing is off
-     (it is free then); when enabled it carries the arrival-ordinal
-     range, so a Chrome trace correlates each request with its
-     queue-wait/prepare/cache/solve/commit stages. *)
-  let label =
-    if Obs.enabled () then
-      Printf.sprintf "serve.batch#%d[%d..%d]" b.b_idx b.b_first (b.b_first + nreq - 1)
-    else "serve.batch"
-  in
-  Obs.span label @@ fun () ->
-  let tally = fresh_tally () in
+(* Both halves of a batch run under one span name. It keeps the stable
+   "serve.batch" name when tracing is off (it is free then); when
+   enabled it carries the arrival-ordinal range, so a Chrome trace
+   correlates each request with its prepare/cache/solve/commit
+   stages. *)
+let batch_span b f =
+  if Obs.enabled () then
+    Obs.span
+      (Printf.sprintf "serve.batch#%d[%d..%d]" b.b_idx b.b_first
+         (b.b_first + Array.length b.b_items - 1))
+      f
+  else Obs.span "serve.batch" f
+
+(* The reader pass, in arrival order: prepare every item, then look up
+   or claim its plan-cache entry. Steps are stored as they are made,
+   so a failure part-way leaves [fail_batch] the claims to withdraw. *)
+let reader_pass p b =
+  batch_span b @@ fun () ->
+  let tally = b.b_tally in
   let note_err code =
     tally.t_req <- tally.t_req + 1;
     if code = "too-large" then tally.t_rej <- tally.t_rej + 1
     else tally.t_err <- tally.t_err + 1
   in
-  (* phase 1: pure prepare (parallel across batches) *)
   let prepared =
     Obs.span "serve.stage.prepare" @@ fun () ->
     Array.mapi
@@ -885,48 +885,50 @@ let process_batch p b =
         r)
       b.b_items
   in
-  (* phase 2: the cache pass, serialised in arrival order *)
-  await_turn p b.b_idx;
-  let steps =
-    Fun.protect
-      ~finally:(fun () -> advance_turn p)
-      (fun () ->
-        Obs.span "serve.stage.cache" @@ fun () ->
-        Array.map
-          (fun pr ->
-            let t0 = Unix.gettimeofday () in
-            let s =
-              match pr with
-              | P_err { id; code; msg } ->
-                  note_err code;
-                  S_done (error_block ~id ~code msg)
-              | P_task { req; eng; approximate; key } -> (
-                  tally.t_req <- tally.t_req + 1;
-                  if approximate then tally.t_fb <- tally.t_fb + 1;
-                  match Cache.lookup_or_claim p.cache key with
-                  | Cache.Hit_ready (body, entry_approx) ->
-                      tally.t_hit <- tally.t_hit + 1;
-                      tally.t_ok <- tally.t_ok + 1;
-                      S_done (ok_block req ~cache_hit:true ~approximate:entry_approx body)
-                  | Cache.Hit_pending entry ->
-                      tally.t_hit <- tally.t_hit + 1;
-                      tally.t_coal <- tally.t_coal + 1;
-                      S_await { req; eng; approximate; entry }
-                  | Cache.Claimed (entry, evicted) ->
-                      tally.t_miss <- tally.t_miss + 1;
-                      tally.t_evict <- tally.t_evict + evicted;
-                      S_solve { req; eng; approximate; claim = Some entry }
-                  | Cache.Uncached ->
-                      tally.t_miss <- tally.t_miss + 1;
-                      S_solve { req; eng; approximate; claim = None })
-            in
-            Obs.Histogram.record p.st.stages.h_cache (ns (Unix.gettimeofday () -. t0));
-            s)
-          prepared)
-  in
-  (* phase 3: solves (parallel across batches); fill claims as each
-     completes so awaiting requests unblock as early as possible *)
-  let responses = Array.make (Array.length steps) "" in
+  (Obs.span "serve.stage.cache" @@ fun () ->
+   Array.iteri
+     (fun i pr ->
+       let t0 = Unix.gettimeofday () in
+       b.b_steps.(i) <-
+         (match pr with
+         | P_err { id; code; msg } ->
+             note_err code;
+             S_done (error_block ~id ~code msg)
+         | P_task { req; eng; approximate; key } -> (
+             tally.t_req <- tally.t_req + 1;
+             if approximate then tally.t_fb <- tally.t_fb + 1;
+             match Cache.lookup_or_claim p.cache key with
+             | Cache.Hit_ready (body, entry_approx) ->
+                 tally.t_hit <- tally.t_hit + 1;
+                 tally.t_ok <- tally.t_ok + 1;
+                 S_done (ok_block req ~cache_hit:true ~approximate:entry_approx body)
+             | Cache.Hit_pending entry ->
+                 tally.t_hit <- tally.t_hit + 1;
+                 tally.t_coal <- tally.t_coal + 1;
+                 S_await { req; eng; approximate; entry }
+             | Cache.Claimed (entry, evicted) ->
+                 tally.t_miss <- tally.t_miss + 1;
+                 tally.t_evict <- tally.t_evict + evicted;
+                 S_solve { req; eng; approximate; claim = Some entry }
+             | Cache.Uncached ->
+                 tally.t_miss <- tally.t_miss + 1;
+                 S_solve { req; eng; approximate; claim = None }));
+       Obs.Histogram.record p.st.stages.h_cache (ns (Unix.gettimeofday () -. t0)))
+     prepared);
+  b.b_ready <- Unix.gettimeofday ()
+
+(* The worker half: solves, then coalesced waits, then the commit. *)
+let finish_batch p b =
+  let nreq = Array.length b.b_items in
+  let record_each h v = for _ = 1 to nreq do Obs.Histogram.record h v done in
+  (* queue wait: end of the reader pass to dequeue, shared by every
+     request in the batch *)
+  record_each p.st.stages.h_queue_wait (ns (Unix.gettimeofday () -. b.b_ready));
+  batch_span b @@ fun () ->
+  let tally = b.b_tally in
+  (* solves (parallel across batches); fill claims as each completes
+     so awaiting requests unblock as early as possible *)
+  let responses = Array.make nreq "" in
   (Obs.span "serve.stage.solve" @@ fun () ->
    Array.iteri
      (fun i s ->
@@ -949,10 +951,10 @@ let process_batch p b =
                tally.t_err <- tally.t_err + 1;
                responses.(i) <- error_block ~id:req.rq_id ~code:"solver" msg);
            Obs.Histogram.record p.st.stages.h_solve (ns (Unix.gettimeofday () -. t0))))
-     steps);
-  (* phase 4: resolve coalesced waits (the claimant is in an earlier
-     batch, already past its turnstile, so its fill cannot deadlock);
-     the wait time counts as that request's solve time *)
+     b.b_steps);
+  (* coalesced waits: the claimant is in this batch or an earlier one
+     (handed over first), whose solves never wait, so its fill cannot
+     deadlock; the wait time counts as that request's solve time *)
   Array.iteri
     (fun i s ->
       match s with
@@ -973,49 +975,64 @@ let process_batch p b =
                   tally.t_err <- tally.t_err + 1;
                   responses.(i) <- error_block ~id:req.rq_id ~code:"solver" msg));
           Obs.Histogram.record p.st.stages.h_solve (ns (Unix.gettimeofday () -. t0))))
-    steps;
+    b.b_steps;
   apply_tally p tally;
   let t_commit = Unix.gettimeofday () in
-  Obs.span "serve.stage.commit" (fun () ->
-      commit p b.b_idx responses ((t_commit -. b.b_t0) *. 1e3));
+  Obs.span "serve.stage.commit" (fun () -> commit p b responses);
   record_each p.st.stages.h_commit (ns (Unix.gettimeofday () -. t_commit))
 
-(* Catch-all wrapper: a bug in batch processing must not wedge the
-   turnstile or the commit order, so on an unexpected exception the
-   batch is answered with solver errors and the pipeline lives on. *)
-let process_batch_safe p b =
-  try process_batch p b
-  with e ->
-    let msg =
-      match e with
-      | Shutdown ->
-          (* a shutdown signal interrupted the batch mid-solve (main
-             domain only): still answer it, then let the reader wind
-             the session down *)
-          p.st.interrupted <- true;
-          "interrupted by shutdown"
-      | Sys_error m -> m
-      | e -> solver_msg e
-    in
-    (* make sure the turnstile has moved past this batch without ever
-       skipping ahead of batches still waiting for their turn *)
-    (try await_turn p b.b_idx with _ -> ());
-    Mutex.lock p.ts_m;
-    if p.ts_next = b.b_idx then begin
-      p.ts_next <- b.b_idx + 1;
-      Condition.broadcast p.ts_c
-    end;
-    Mutex.unlock p.ts_m;
-    let responses =
-      Array.mapi
-        (fun i _ -> error_block ~id:(string_of_int (b.b_first + i)) ~code:"solver" msg)
-        b.b_items
-    in
-    let tally = fresh_tally () in
-    tally.t_req <- Array.length b.b_items;
-    tally.t_err <- Array.length b.b_items;
-    apply_tally p tally;
-    (try commit p b.b_idx responses 0. with _ -> ())
+(* The one failure path: a batch whose reader pass or worker half
+   raised is answered with solver errors, so the commit order never
+   stalls and the pipeline lives on. Claims it leaves unfilled are
+   withdrawn, so their waiters re-solve instead of hanging; the cache
+   lookups it made still count. *)
+let fail_batch p b e =
+  let msg =
+    match e with
+    | Shutdown ->
+        (* a shutdown signal interrupted the batch: still answer it,
+           then let the reader wind the session down *)
+        p.st.interrupted <- true;
+        "interrupted by shutdown"
+    | Sys_error m -> m
+    | e -> solver_msg e
+  in
+  Array.iter
+    (function S_solve { claim = Some entry; _ } -> Cache.abandon p.cache entry | _ -> ())
+    b.b_steps;
+  let n = Array.length b.b_items in
+  let tally = b.b_tally in
+  tally.t_req <- n;
+  tally.t_ok <- 0;
+  tally.t_err <- n;
+  tally.t_rej <- 0;
+  apply_tally p tally;
+  let responses =
+    Array.init n (fun i -> error_block ~id:(string_of_int (b.b_first + i)) ~code:"solver" msg)
+  in
+  try commit p b responses with _ -> ()
+
+let finish_safe p b = try finish_batch p b with e -> fail_batch p b e
+
+(* One batch from the reader: the reader pass, then [dispatch] to the
+   worker half while a solve or a coalesced wait remains; a batch
+   answered in full is committed by the reader itself. *)
+let run_batch p ~dispatch b =
+  match reader_pass p b with
+  | () ->
+      if Array.exists (function S_done _ -> false | S_solve _ | S_await _ -> true) b.b_steps
+      then dispatch b
+      else finish_safe p b
+  | exception e -> fail_batch p b e
+
+(* A signal landing in a hand-off or the join must not abandon it: a
+   prepared batch is owed its answers, and the workers own shared
+   pipeline state until they exit. *)
+let rec uninterrupted p f =
+  try f ()
+  with Shutdown ->
+    p.st.interrupted <- true;
+    uninterrupted p f
 
 (* ---------------- reader + serve loops ---------------- *)
 
@@ -1072,29 +1089,19 @@ let totals_json st =
   let lat = Obs.Histogram.snap st.latency in
   let q x = float_of_int (Obs.Histogram.quantile lat x) /. 1e6 in
   Obj
-    [
-      ("requests", Int st.requests);
-      ("ok", Int st.ok);
-      ("errors", Int st.errors);
-      ("rejected", Int st.rejected);
-      ("cache_hits", Int st.cache_hits);
-      ("cache_misses", Int st.cache_misses);
-      ("coalesced", Int st.coalesced);
-      ("cache_entries", Int st.cache_entries);
-      ("evictions", Int st.evictions);
-      ("fallbacks", Int st.fallbacks);
-      ("cache_hit_rate", Float (hit_rate st));
-      ( "latency_ms",
-        Obj
-          [
-            ("count", Int lat.Obs.Histogram.count);
-            ("p50", Float (q 50.));
-            ("p95", Float (q 95.));
-            ("p99", Float (q 99.));
-            ("p999", Float (q 99.9));
-            ("max", Float (float_of_int lat.Obs.Histogram.max_value /. 1e6));
-          ] );
-    ]
+    (counts_json st
+    @ [
+        ( "latency_ms",
+          Obj
+            [
+              ("count", Int lat.Obs.Histogram.count);
+              ("p50", Float (q 50.));
+              ("p95", Float (q 95.));
+              ("p99", Float (q 99.));
+              ("p999", Float (q 99.9));
+              ("max", Float (float_of_int lat.Obs.Histogram.max_value /. 1e6));
+            ] );
+      ])
 
 let control_response st ~accepted ctl =
   let open Obs.Json in
@@ -1187,10 +1194,11 @@ let split_control out =
   go lines;
   (Buffer.contents buf, List.rev !ctls)
 
-(* One serve session over [io]: read, batch, submit, join. [submit]
-   either processes inline (sequential) or pushes into the channel
-   (concurrent); [finish] closes the channel and joins the workers. *)
-let reader_loop p ~batch_size ~submit ~finish =
+(* One serve session over [io]: read, batch, run each batch's reader
+   pass, join. [dispatch] hands a batch to the worker half — inline
+   (sequential) or into the channel (concurrent); [finish] closes the
+   channel and joins the workers. *)
+let reader_loop p ~batch_size ~dispatch ~finish =
   let io = p.io in
   let pending = ref [] in
   let pending_n = ref 0 in
@@ -1202,12 +1210,21 @@ let reader_loop p ~batch_size ~submit ~finish =
       let items = Array.of_list (List.rev !pending) in
       pending := [];
       pending_n := 0;
+      let t0 = Unix.gettimeofday () in
       let b =
-        { b_idx = !batch_idx; b_first = !first_ord; b_items = items; b_t0 = Unix.gettimeofday () }
+        {
+          b_idx = !batch_idx;
+          b_first = !first_ord;
+          b_items = items;
+          b_t0 = t0;
+          b_steps = Array.make (Array.length items) (S_done "");
+          b_tally = fresh_tally ();
+          b_ready = t0;
+        }
       in
       incr batch_idx;
       first_ord := !next_ord;
-      submit b
+      run_batch p ~dispatch b
     end
   in
   let add_item it =
@@ -1219,7 +1236,7 @@ let reader_loop p ~batch_size ~submit ~finish =
   in
   (try
      let rec loop () =
-       if p.w_dead then ()
+       if p.w_dead || p.st.interrupted then ()
        else
          match io.next_line () with
          | None -> ()
@@ -1249,15 +1266,7 @@ let reader_loop p ~batch_size ~submit ~finish =
    with
   | Shutdown -> p.st.interrupted <- true
   | Sys_error _ -> ());
-  (* join must complete even if a late signal lands during the wait:
-     the workers own shared pipeline state until they exit *)
-  let rec join_workers () =
-    try finish ()
-    with Shutdown ->
-      p.st.interrupted <- true;
-      join_workers ()
-  in
-  join_workers ()
+  uninterrupted p finish
 
 let serve_session ?pool ~cfg ~cache ~front ~st io =
   let jobs = match pool with Some pl -> Pool.jobs pl | None -> 1 in
@@ -1289,14 +1298,14 @@ let serve_session ?pool ~cfg ~cache ~front ~st io =
                         | Some b ->
                             Obs.set g_queue (Pool.Chan.length chan);
                             Obs.incr c_batches;
-                            process_batch_safe p b;
+                            finish_safe p b;
                             wloop ()
                       in
                       wloop ()))
             done;
-            let submit b =
+            let dispatch b =
               if Pool.Chan.length chan >= cfg.queue_capacity then Obs.incr c_queue_full;
-              ignore (Pool.Chan.push chan b : bool);
+              uninterrupted p (fun () -> ignore (Pool.Chan.push chan b : bool));
               Obs.set g_queue (Pool.Chan.length chan)
             in
             let finish () =
@@ -1312,12 +1321,10 @@ let serve_session ?pool ~cfg ~cache ~front ~st io =
                   Mutex.unlock done_m;
                   raise e
             in
-            reader_loop p ~batch_size:(max 1 cfg.batch_size) ~submit ~finish
+            reader_loop p ~batch_size:(max 1 cfg.batch_size) ~dispatch ~finish
         | _ ->
-            reader_loop p
-              ~batch_size:(max 1 cfg.batch_size)
-              ~submit:(fun b -> process_batch_safe p b)
-              ~finish:(fun () -> ()))
+            reader_loop p ~batch_size:(max 1 cfg.batch_size) ~dispatch:(finish_safe p)
+              ~finish:ignore)
   in
   st.seconds <- st.seconds +. elapsed;
   st
@@ -1421,30 +1428,20 @@ let report_json ~jobs st =
         ("jobs", Int jobs);
         ( "totals",
           Obj
-            [
-              ("requests", Int st.requests);
-              ("ok", Int st.ok);
-              ("errors", Int st.errors);
-              ("rejected", Int st.rejected);
-              ("cache_hits", Int st.cache_hits);
-              ("cache_misses", Int st.cache_misses);
-              ("coalesced", Int st.coalesced);
-              ("cache_entries", Int st.cache_entries);
-              ("evictions", Int st.evictions);
-              ("fallbacks", Int st.fallbacks);
-              ("cache_hit_rate", Float (hit_rate st));
-              ("seconds", Float st.seconds);
-              ( "latency_ms",
-                Obj
-                  [
-                    ("count", Int (Obs.Histogram.snap st.latency).Obs.Histogram.count);
-                    ("p50", Float (latency_percentile st 50.));
-                    ("p95", Float (latency_percentile st 95.));
-                    ("p99", Float (latency_percentile st 99.));
-                    ("p999", Float (latency_percentile st 99.9));
-                  ] );
-              ("interrupted", Bool st.interrupted);
-            ] );
+            (counts_json st
+            @ [
+                ("seconds", Float st.seconds);
+                ( "latency_ms",
+                  Obj
+                    [
+                      ("count", Int (Obs.Histogram.snap st.latency).Obs.Histogram.count);
+                      ("p50", Float (latency_percentile st 50.));
+                      ("p95", Float (latency_percentile st 95.));
+                      ("p99", Float (latency_percentile st 99.));
+                      ("p999", Float (latency_percentile st 99.9));
+                    ] );
+                ("interrupted", Bool st.interrupted);
+              ]) );
         ("stages", stages_json st);
       ]
     ()
@@ -1453,8 +1450,9 @@ let report_json ~jobs st =
    shared with tests/CI so the masking stays declarative. [coalesced]
    is masked too: at jobs > 1 whether a duplicate lands on a
    still-Pending entry (coalesced) or an already-Ready one (plain hit)
-   depends on solve/arrival interleaving, so the split — though the
-   hit total is invariant — is scheduling-dependent. *)
+   depends on how far the reader runs ahead of the solves, so the
+   split — though the hit total is invariant — is
+   scheduling-dependent. *)
 let timing_fields =
   [ "seconds"; "latency_ms"; "stages"; "histograms"; "start_s"; "dur_s"; "minor_words";
     "major_words"; "coalesced" ]

@@ -65,9 +65,10 @@
     front map and still hits the plan cache. Only successful parses are
     stored, so error responses are unchanged. Both maps are LRUs of
     [config.cache_capacity] entries over one recency-list
-    implementation. Response bytes do not depend on the front map;
-    its [serve.canon.hits]/[serve.canon.misses] counters do depend on
-    scheduling at [jobs > 1] and are not part of {!stats}.
+    implementation. Response bytes do not depend on the front map. Its
+    [serve.canon.hits]/[serve.canon.misses] counters follow arrival
+    order alone, so they are the same at every [jobs]; they are not
+    part of {!stats}.
 
     [budget_ms] enforces a deterministic work model rather than a
     wall-clock timeout (so tests are reproducible): exact DP work is
@@ -80,20 +81,27 @@
 
     {2 Concurrency}
 
-    With a {!Pool.t} of [jobs > 1], serving is pipelined: the calling
-    domain reads and batches requests, pushes batches into a bounded
-    queue (a full queue blocks the reader — that stall is the
-    admission backpressure), and [jobs - 1] pool workers process them.
-    A turnstile serialises the plan-cache pass in arrival order and a
-    reorder buffer restores response order, so {b output bytes, cache
-    decisions and stats totals are identical to [jobs = 1]} — the
-    sequential path runs the very same pipeline inline. Because every
-    lookup already runs under the turnstile, the plan cache has a
-    single mutex: finer locking would add no lookup concurrency.
-    Concurrent duplicate requests are coalesced: the first claims the
-    cache slot and solves; the rest observe a hit and await the filled
-    entry. {!Shutdown} (SIGTERM/SIGINT) stops reading, drains every
-    accepted request through the workers, and only then returns.
+    The calling domain is the reader. It reads and batches requests
+    and runs the {e reader pass} on each batch, in arrival order:
+    prepare (front-map lookup, parse on a front miss, admission,
+    budget, cache key), then the plan-cache lookup or claim. A batch
+    whose every item is then answered (hits and errors) is committed
+    by the reader itself; one that still needs a solve or a coalesced
+    wait goes to the worker half. With a {!Pool.t} of [jobs > 1] the
+    worker half runs on [jobs - 1] pool workers behind a bounded queue
+    (a full queue blocks the reader — that stall is the admission
+    backpressure); at [jobs = 1] it runs inline. A reorder buffer
+    restores response order. Because every cache decision is made in
+    one place in one order, {b output bytes, cache decisions and stats
+    totals are identical to [jobs = 1]}, and the plan cache needs a
+    single mutex only to order the reader's claims against the
+    workers' fills. Duplicate requests whose first copy is still being
+    solved are coalesced: the first claims the cache slot and solves;
+    the rest observe a hit and await the filled entry. {!Shutdown}
+    (SIGTERM/SIGINT) stops reading, drains every accepted request, and
+    only then returns. A connected-subset budget estimate ([ccp],
+    [conv] with [budget_ms]) runs on the reader, so such estimates do
+    not overlap one another.
 
     {2 Introspection}
 
@@ -153,24 +161,18 @@ type config = {
           affects response bytes. *)
   rat_transition_ns : float;  (** budget model: ns per DP transition, rational domain *)
   log_transition_ns : float;  (** budget model: ns per DP transition, log domain *)
-  record_exact_latencies : bool;
-      (** additionally keep every raw latency sample in
-          [stats.exact_latencies_ms] (O(requests) memory — the store
-          the histograms replaced). Off by default; the bench turns it
-          on to verify histogram quantiles against exact sorted-array
-          percentiles. *)
 }
 
 val default_config : config
 (** [{cache_capacity = 256; queue_capacity = 64;
-     batch_size = 1; rat_transition_ns = 100.; log_transition_ns = 10.;
-     record_exact_latencies = false}] *)
+     batch_size = 1; rat_transition_ns = 100.; log_transition_ns = 10.}] *)
 
 (** Per-stage latency histograms (integer nanoseconds): the request
-    lifecycle queue-wait → prepare → cache → solve → commit, one
-    series per stage. [queue_wait] and [commit] are per-batch times
-    recorded once per request in the batch; [solve] includes the time
-    a coalesced request waits for its claimant's fill. *)
+    lifecycle prepare → cache → queue-wait → solve → commit, one
+    series per stage. [queue_wait] (end of the reader pass to the
+    worker half's start) and [commit] are per-batch times recorded
+    once per request in the batch; [solve] includes the time a
+    coalesced request waits for its claimant's fill. *)
 type stage_hists = {
   h_queue_wait : Obs.Histogram.t;
   h_prepare : Obs.Histogram.t;
@@ -189,9 +191,9 @@ type stats = {
   mutable coalesced : int;
       (** the subset of [cache_hits] that landed on a still-Pending
           entry and waited for the claimant's fill. The total hit count
-          is jobs-invariant; this split is scheduling-dependent at
-          [jobs > 1] (hence masked by {!timing_fields}), deterministic
-          at [jobs = 1]. *)
+          is jobs-invariant; this split depends on how far the reader
+          runs ahead of the solves at [jobs > 1] (hence masked by
+          {!timing_fields}), deterministic at [jobs = 1]. *)
   mutable cache_entries : int;
       (** plan-cache occupancy at the last batch commit *)
   mutable evictions : int;
@@ -199,13 +201,10 @@ type stats = {
   mutable seconds : float;
   mutable interrupted : bool;  (** stopped by {!Shutdown} rather than EOF *)
   latency : Obs.Histogram.t;
-      (** end-to-end per-request latency (enqueue → commit), integer
-          nanoseconds; O(buckets) memory regardless of request count.
-          Basis for {!latency_percentile}. *)
+      (** end-to-end per-request latency (batch formed → commit),
+          integer nanoseconds; O(buckets) memory regardless of request
+          count. Basis for {!latency_percentile}. *)
   stages : stage_hists;
-  mutable exact_latencies_ms : float list;
-      (** raw samples, only populated under
-          [config.record_exact_latencies] *)
 }
 
 val fresh_stats : unit -> stats
@@ -236,9 +235,8 @@ val serve_io : ?pool:Pool.t -> ?config:config -> ?stats:stats -> io -> stats
 (** Run the request pipeline until end-of-stream or {!Shutdown}. Every
     per-request failure is turned into an error response; the loop
     itself only ends on EOF, {!Shutdown}, or a dropped transport
-    ([Sys_error]). With [?pool] of [jobs > 1] the pipeline runs on the
-    pool's workers — same bytes, same stats (see {e Concurrency}
-    above). [?stats] supplies a caller-owned record (for live
+    ([Sys_error]). With [?pool] of [jobs > 1] solves run on the pool's
+    workers — same bytes, same stats (see {e Concurrency} above). [?stats] supplies a caller-owned record (for live
     heartbeat reads); a fresh one is made otherwise. *)
 
 val serve_channels :
@@ -266,6 +264,18 @@ val split_control : string -> string * (string * string) list
 val hit_rate : stats -> float
 (** Cache hits over cache lookups (0. when no lookups happened). *)
 
+val counts_json : stats -> (string * Obs.Json.t) list
+(** The count fields every totals object starts with, in this pinned
+    order: [requests], [ok], [errors], [rejected], [cache_hits],
+    [cache_misses], [coalesced], [cache_entries], [evictions],
+    [fallbacks], [cache_hit_rate]. *)
+
+val stats_key : stats -> int * int * int * int * int * int * int * int
+(** The jobs-invariant integer totals — [(requests, ok, errors,
+    rejected, cache_hits, cache_misses, evictions, fallbacks)] — for
+    identity checks across [--jobs]; it leaves out the
+    scheduling-dependent [coalesced] split and [cache_entries]. *)
+
 val latency_percentile : stats -> float -> float
 (** [latency_percentile st q]: nearest-rank [q]-th percentile (in
     [0..100]) of the recorded per-request latencies, in milliseconds;
@@ -288,7 +298,7 @@ val timing_fields : string list
 (** The scheduling-dependent report fields a deterministic comparison
     must mask — wall-clock ([seconds], [latency_ms], [stages],
     [histograms], span timings, GC words) plus [coalesced] (the
-    hit/coalesce split depends on solve interleaving at [jobs > 1]) —
+    hit/coalesce split depends on scheduling at [jobs > 1]) —
     the list {!report_json_masked} feeds to {!Obs.Json.mask_fields}. *)
 
 val report_json_masked : jobs:int -> stats -> Obs.Json.t

@@ -473,16 +473,6 @@ let replay ?pool ?config ?(probe_every = 0) trace =
   in
   (out, st, seconds)
 
-let stats_key (st : Serve.stats) =
-  ( st.Serve.requests,
-    st.Serve.ok,
-    st.Serve.errors,
-    st.Serve.rejected,
-    st.Serve.cache_hits,
-    st.Serve.cache_misses,
-    st.Serve.evictions,
-    st.Serve.fallbacks )
-
 let first_divergence a b =
   let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
   let rec go i la lb =
@@ -509,7 +499,7 @@ let check_identity ?config ?probe_every ~jobs trace =
     in
     ( false,
       Printf.sprintf "non-control responses differ at jobs=1 vs jobs=%d%s" jobs where )
-  else if stats_key st1 <> stats_key stn then
+  else if Serve.stats_key st1 <> Serve.stats_key stn then
     (false, Printf.sprintf "stats totals differ at jobs=1 vs jobs=%d" jobs)
   else (true, "")
 
@@ -581,24 +571,14 @@ let report_json ~jobs ~trace ~out ~seconds ?identity (st : Serve.stats) =
          ("trace", Obj (List.map (fun (k, v) -> (k, prov_value v)) (parse_provenance trace)));
          ( "totals",
            Obj
-             [
-               ("requests", Int st.Serve.requests);
-               ("ok", Int st.Serve.ok);
-               ("errors", Int st.Serve.errors);
-               ("rejected", Int st.Serve.rejected);
-               ("cache_hits", Int st.Serve.cache_hits);
-               ("cache_misses", Int st.Serve.cache_misses);
-               ("coalesced", Int st.Serve.coalesced);
-               ("cache_entries", Int st.Serve.cache_entries);
-               ("evictions", Int st.Serve.evictions);
-               ("fallbacks", Int st.Serve.fallbacks);
-               ("cache_hit_rate", Float (Serve.hit_rate st));
-               ("seconds", Float seconds);
-               ( "requests_per_s",
-                 Float
-                   (if seconds > 0. then float_of_int st.Serve.requests /. seconds
-                    else 0.) );
-             ] );
+             (Serve.counts_json st
+             @ [
+                 ("seconds", Float seconds);
+                 ( "requests_per_s",
+                   Float
+                     (if seconds > 0. then float_of_int st.Serve.requests /. seconds
+                      else 0.) );
+               ]) );
          ("errors_by_code", Obj (List.map (fun (c, k) -> (c, Int k)) facts.f_codes));
          ( "responses",
            Obj

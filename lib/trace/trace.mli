@@ -110,16 +110,11 @@ val replay :
     (after {!inject_probes} when [probe_every > 0]) and returns
     [(responses, stats, seconds)]. *)
 
-val stats_key : Serve.stats -> int * int * int * int * int * int * int * int
-(** The jobs-invariant integer totals — [(requests, ok, errors,
-    rejected, cache_hits, cache_misses, evictions, fallbacks)] —
-    excluding the scheduling-dependent coalesce split. *)
-
 val check_identity :
   ?config:Serve.config -> ?probe_every:int -> jobs:int -> string -> bool * string
 (** Replay the trace at [--jobs 1] and at [--jobs n]; [true] when the
     non-control response bytes ({!Serve.split_control}) are identical
-    and {!stats_key} agrees. The [string] is a human diagnosis of the
+    and {!Serve.stats_key} agrees. The [string] is a human diagnosis of the
     first divergence (empty on success). *)
 
 val report_json :

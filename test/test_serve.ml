@@ -544,16 +544,6 @@ let mixed_stream =
   ^ request ~header:"request id=g algo=ccp" disconnected
   ^ request ~header:"request id=h algo=dp" (chain_inst 6)
 
-let stats_key (st : Serve.stats) =
-  ( st.Serve.requests,
-    st.Serve.ok,
-    st.Serve.errors,
-    st.Serve.rejected,
-    st.Serve.cache_hits,
-    st.Serve.cache_misses,
-    st.Serve.evictions,
-    st.Serve.fallbacks )
-
 (* The tentpole contract: the concurrent pipeline is byte-identical to
    the sequential loop — same responses, same order, same stats — for
    every jobs/batch-size combination. *)
@@ -568,7 +558,7 @@ let test_concurrent_byte_identity () =
       let label = Printf.sprintf "jobs=%d batch=%d" jobs batch_size in
       Alcotest.(check string) (label ^ ": bytes identical") seq_out out;
       Alcotest.(check bool) (label ^ ": stats identical") true
-        (stats_key seq_st = stats_key st))
+        (Serve.stats_key seq_st = Serve.stats_key st))
     [ (2, 1); (2, 3); (4, 1); (4, 3); (4, 64) ]
 
 (* Duplicate solves submitted concurrently coalesce on the claimed
@@ -582,7 +572,43 @@ let test_concurrent_coalescing () =
   Alcotest.(check string) "coalesced bytes identical" seq_out out;
   Alcotest.(check int) "one miss" 1 st.Serve.cache_misses;
   Alcotest.(check int) "rest are hits" 11 st.Serve.cache_hits;
-  Alcotest.(check bool) "stats identical" true (stats_key seq_st = stats_key st)
+  Alcotest.(check bool) "stats identical" true (Serve.stats_key seq_st = Serve.stats_key st)
+
+(* The front map is the reader's alone, so its hit/miss counts follow
+   arrival order: the same at jobs 1 and 4, at any batch size. *)
+let test_canon_counts_jobs_invariant () =
+  let _, base = canon_counts (fun () -> Serve.serve_string mixed_stream) in
+  List.iter
+    (fun batch_size ->
+      let config = { Serve.default_config with Serve.batch_size } in
+      let _, counts =
+        canon_counts (fun () ->
+            Pool.with_pool ~jobs:4 (fun pool -> Serve.serve_string ~pool ~config mixed_stream))
+      in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "canon (hits, misses) at jobs=4 batch=%d" batch_size)
+        base counts)
+    [ 1; 3 ]
+
+(* At jobs 2 the junk line's batch is answered in full by the reader,
+   which commits it itself; behind the slow solve on the worker it
+   waits in the reorder buffer, so the bytes are the jobs 1 bytes in
+   arrival order. *)
+let test_reader_commit_in_order () =
+  let stream =
+    request ~header:"request id=warm algo=dp" inst2
+    ^ request ~header:"request id=slow algo=dp" (chain_inst 12)
+    ^ "junk line\n"
+    ^ request ~header:"request id=again algo=dp" inst2
+  in
+  let seq_out, _ = Serve.serve_string stream in
+  let out, _ = Pool.with_pool ~jobs:2 (fun pool -> Serve.serve_string ~pool stream) in
+  Alcotest.(check string) "bytes identical to jobs 1" seq_out out;
+  let id header =
+    List.find (String.starts_with ~prefix:"id=") (String.split_on_char ' ' header)
+  in
+  Alcotest.(check (list string)) "arrival order" [ "id=warm"; "id=slow"; "id=3"; "id=again" ]
+    (List.map (fun b -> id (List.hd b)) (blocks out))
 
 (* Satellite: report determinism. Two runs of the same stream differ
    only in wall-clock fields; with those masked, the totals compare
@@ -630,6 +656,32 @@ let test_shutdown_mid_stream () =
     (contains (Buffer.contents buf) "status=ok");
   Alcotest.(check bool) "marked interrupted" true st.Serve.interrupted;
   Alcotest.(check int) "one ok" 1 st.Serve.ok
+
+(* A shutdown signal landing mid-solve ends the session: the request
+   being solved is answered "interrupted by shutdown" and nothing after
+   it is read. SIGALRM stands in for SIGTERM; a rat-domain dp solve on
+   a 16-relation chain outlasts the 50 ms timer by far. *)
+let test_shutdown_mid_solve () =
+  let greedy i = request ~header:(Printf.sprintf "request id=g%d algo=greedy" i) inst2 in
+  let input =
+    request ~header:"request id=slow algo=dp" (chain_inst 16) ^ greedy 1 ^ greedy 2 ^ greedy 3
+  in
+  let timer v = ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value = v }) in
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Serve.Shutdown)) in
+  let out, st =
+    Fun.protect
+      ~finally:(fun () ->
+        timer 0.;
+        Sys.set_signal Sys.sigalrm previous)
+      (fun () ->
+        timer 0.05;
+        Serve.serve_string input)
+  in
+  Alcotest.(check bool) "marked interrupted" true st.Serve.interrupted;
+  Alcotest.(check int) "nothing after the slow request was read" 1 st.Serve.requests;
+  Alcotest.(check (list (list string))) "the slow request is answered as interrupted"
+    [ [ "response id=1 status=error code=solver"; "error: interrupted by shutdown" ] ]
+    (blocks out)
 
 (* ---------------- socket transport ---------------- *)
 
@@ -784,7 +836,7 @@ let test_stats_schema_pinned () =
   | _ -> Alcotest.fail "stats control block has no totals object"
 
 (* Coalescing is observable deterministically even sequentially: with
-   a batch of identical requests, the turnstile claims the entry once
+   a batch of identical requests, the reader pass claims the entry once
    (miss) and every later duplicate in the batch lands on the
    still-Pending entry (hit + coalesce). At batch_size=1 the previous
    batch has always committed first, so coalesced stays 0. *)
@@ -833,29 +885,9 @@ let test_latency_histograms () =
   for i = 0 to n - 1 do
     Buffer.add_string b (request (chain_inst (3 + (i mod 4))))
   done;
-  let config = { Serve.default_config with Serve.record_exact_latencies = true } in
-  let _out, st = Serve.serve_string ~config (Buffer.contents b) in
+  let _out, st = Serve.serve_string (Buffer.contents b) in
   let lat = Obs.Histogram.snap st.Serve.latency in
   Alcotest.(check int) "one latency sample per request" n lat.Obs.Histogram.count;
-  Alcotest.(check int) "exact store kept when asked" n
-    (List.length st.Serve.exact_latencies_ms);
-  (* the histogram quantile agrees with the exact sorted-array
-     percentile it replaced, within one bucket width *)
-  let sorted = Array.of_list st.Serve.exact_latencies_ms in
-  Array.sort compare sorted;
-  List.iter
-    (fun q ->
-      let rank = int_of_float (Float.round (q /. 100. *. float_of_int (n - 1))) in
-      let exact_ms = sorted.(rank) in
-      let width_ms =
-        float_of_int (Obs.Histogram.width_at (int_of_float (exact_ms *. 1e6))) /. 1e6
-      in
-      let hist_ms = Serve.latency_percentile st q in
-      Alcotest.(check bool)
-        (Printf.sprintf "p%g within one bucket width" q)
-        true
-        (Float.abs (hist_ms -. exact_ms) <= width_ms +. 1e-6))
-    [ 50.; 95.; 99. ];
   Alcotest.(check (list string)) "stage series names"
     [ "latency"; "queue_wait"; "prepare"; "cache"; "solve"; "commit" ]
     (List.map fst (Serve.latency_series st));
@@ -948,12 +980,17 @@ let () =
           Alcotest.test_case "seq-vs-concurrent byte identity" `Quick
             test_concurrent_byte_identity;
           Alcotest.test_case "duplicate coalescing" `Quick test_concurrent_coalescing;
+          Alcotest.test_case "canon counters are jobs-invariant" `Quick
+            test_canon_counts_jobs_invariant;
+          Alcotest.test_case "reader-committed batch keeps order" `Quick
+            test_reader_commit_in_order;
           Alcotest.test_case "masked report determinism" `Quick
             test_report_masked_deterministic;
         ] );
       ( "lifecycle",
         [
           Alcotest.test_case "shutdown mid-stream" `Quick test_shutdown_mid_stream;
+          Alcotest.test_case "shutdown during a solve" `Quick test_shutdown_mid_solve;
           Alcotest.test_case "unix socket transport" `Quick test_socket;
           Alcotest.test_case "serving report" `Quick test_report_json;
         ] );
@@ -967,8 +1004,7 @@ let () =
             test_coalesce_deterministic;
           Alcotest.test_case "controls never perturb responses (jobs 1 vs 2)" `Quick
             test_control_byte_identity_concurrent;
-          Alcotest.test_case "latency histograms vs exact store" `Quick
-            test_latency_histograms;
+          Alcotest.test_case "latency histogram series" `Quick test_latency_histograms;
           Alcotest.test_case "heartbeat snapshot" `Quick test_heartbeat;
         ] );
     ]

@@ -135,7 +135,7 @@ let test_probes_do_not_perturb () =
   Alcotest.(check bool) "probes never perturb responses" true (body_probed = body_plain);
   Alcotest.(check bool)
     "probes never perturb stats" true
-    (Trace.stats_key st1 = Trace.stats_key st2)
+    (Serve.stats_key st1 = Serve.stats_key st2)
 
 let test_jobs_invariance () =
   let t = Trace.generate small in
