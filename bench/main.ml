@@ -27,6 +27,33 @@ let fn_instance ~n ~omega =
   let c = float_of_int omega /. float_of_int n in
   Fn.reduce ~graph:g ~c ~d:(c /. 3.0) ~log2_a:8.0
 
+(* The exact-DP kernel rows: each exact solver x cost domain on one
+   connected random (p = 0.5) instance at n = 11, with the transition
+   count its ns-per-transition figure divides by — [n * 2^n] for the
+   lattice, [n * #csg] for the connected-subgraph DP. *)
+let exact_kernel_tests () =
+  let n = 11 in
+  let rec connected seed =
+    let inst = Qo.Gen_inst.R.random ~seed ~n ~p:0.5 () in
+    if Graphlib.Ugraph.is_connected inst.Qo.Instances.Nl_rat.graph then inst
+    else connected (seed + 7919)
+  in
+  let rat = connected 1 in
+  let log = Qo.Instances.log_of_rat rat in
+  let lattice = n * (1 lsl n) and csg = n * Qo.Instances.Ccp_rat.csg_count rat in
+  let module OR = Qo.Instances.Opt_rat in
+  let module PR = Qo.Instances.Ccp_rat in
+  let module PL = Qo.Instances.Ccp_log in
+  let row name transitions f = (Test.make ~name (Staged.stage f), ("kernels/" ^ name, transitions)) in
+  [
+    row "dp-rat-n11" lattice (fun () -> OR.dp rat);
+    row "dp-log-n11" lattice (fun () -> OL.dp log);
+    row "dp_no_cartesian-rat-n11" lattice (fun () -> OR.dp_no_cartesian rat);
+    row "dp_no_cartesian-log-n11" lattice (fun () -> OL.dp_no_cartesian log);
+    row "ccp-rat-n11" csg (fun () -> PR.dp_connected rat);
+    row "ccp-log-n11" csg (fun () -> PL.dp_connected log);
+  ]
+
 let bench_tests () =
   (* prebuild inputs outside the timed closures *)
   let r16 = fn_instance ~n:16 ~omega:12 in
@@ -115,7 +142,8 @@ let bench_tests () =
   ]
 
 let run_benchmarks () =
-  let tests = Test.make_grouped ~name:"kernels" (bench_tests ()) in
+  let exact = exact_kernel_tests () in
+  let tests = Test.make_grouped ~name:"kernels" (bench_tests () @ List.map fst exact) in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:true () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
   let ols =
@@ -125,8 +153,8 @@ let run_benchmarks () =
   let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
   let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
   Printf.printf "\n== Timing benchmarks (one kernel per experiment) ==\n";
-  Printf.printf "%-34s %14s %8s\n" "kernel" "time/run" "r^2";
-  Printf.printf "%s\n" (String.make 58 '-');
+  Printf.printf "%-34s %14s %8s %10s\n" "kernel" "time/run" "r^2" "ns/trans";
+  Printf.printf "%s\n" (String.make 69 '-');
   List.map
     (fun (name, ols) ->
       let time_ns =
@@ -139,8 +167,12 @@ let run_benchmarks () =
         else Printf.sprintf "%.0f ns" time_ns
       in
       let r2 = match Analyze.OLS.r_square ols with Some r -> r | None -> nan in
-      Printf.printf "%-34s %14s %8.4f\n" name pretty r2;
-      (name, time_ns, r2))
+      let per_transition =
+        Option.map (fun t -> time_ns /. float_of_int t) (List.assoc_opt name (List.map snd exact))
+      in
+      Printf.printf "%-34s %14s %8.4f %10s\n" name pretty r2
+        (match per_transition with Some x -> Printf.sprintf "%.1f" x | None -> "");
+      (name, time_ns, r2, per_transition))
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -1017,8 +1049,13 @@ let write_report ~jobs ~elapsed ~runs ~total ~fails ~dp_rows ~vs_rows ~beyond_ro
         ( "kernels",
           Arr
             (List.map
-               (fun (name, time_ns, r2) ->
-                 Obj [ ("name", Str name); ("time_ns", Float time_ns); ("r_square", Float r2) ])
+               (fun (name, time_ns, r2, per_transition) ->
+                 Obj
+                   ([ ("name", Str name); ("time_ns", Float time_ns); ("r_square", Float r2) ]
+                   @
+                   match per_transition with
+                   | Some x -> [ ("ns_per_transition", Float x) ]
+                   | None -> []))
                kernels) );
         ("conv", conv_json conv_rows);
         ("competitive_ratio", competitive_json competitive);

@@ -17,6 +17,7 @@ let of_int i =
   else { sg = -1; mag = Bignat.of_int (-i) }
 
 let to_nat_opt t = if t.sg < 0 then None else Some t.mag
+let magnitude t = t.mag
 
 let to_int_opt t =
   match Bignat.to_int_opt t.mag with

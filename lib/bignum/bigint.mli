@@ -11,6 +11,13 @@ val of_nat : Bignat.t -> t
 val to_nat_opt : t -> Bignat.t option
 (** [None] when negative. *)
 
+val make : int -> Bignat.t -> t
+(** [make sign mag] is [mag] with the sign of [sign] (-1 or 1);
+    zero whenever [mag] is zero. *)
+
+val magnitude : t -> Bignat.t
+(** [|t|] as a natural. *)
+
 val to_int_opt : t -> int option
 val of_string : string -> t
 val to_string : t -> string

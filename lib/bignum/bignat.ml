@@ -66,14 +66,18 @@ let equal a b = compare a b = 0
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 
+(* bit width of a limb, by halving the range *)
+let limb_width x =
+  let w = ref 0 and x = ref x in
+  if !x >= 1 lsl 16 then (w := 16; x := !x lsr 16);
+  if !x >= 1 lsl 8 then (w := !w + 8; x := !x lsr 8);
+  if !x >= 1 lsl 4 then (w := !w + 4; x := !x lsr 4);
+  if !x >= 1 lsl 2 then (w := !w + 2; x := !x lsr 2);
+  if !x >= 2 then !w + 2 else !w + !x
+
 let num_bits (a : t) =
   let l = Array.length a in
-  if l = 0 then 0
-  else begin
-    let top = a.(l - 1) in
-    let rec width w n = if n = 0 then w else width (w + 1) (n lsr 1) in
-    ((l - 1) * base_bits) + width 0 top
-  end
+  if l = 0 then 0 else ((l - 1) * base_bits) + limb_width a.(l - 1)
 
 let testbit (a : t) i =
   if i < 0 then invalid_arg "Bignat.testbit";
@@ -175,6 +179,8 @@ let shift_limbs (a : t) k =
 let rec mul (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then zero
+  else if la = 1 && a.(0) = 1 then b
+  else if lb = 1 && b.(0) = 1 then a
   else if la < karatsuba_threshold || lb < karatsuba_threshold then mul_schoolbook a b
   else begin
     (* Karatsuba: a = a0 + a1*B^k, b = b0 + b1*B^k,
@@ -349,7 +355,28 @@ let pow (b : t) e =
   in
   if e = 0 then one else go one b e
 
-let rec gcd a b = if is_zero b then a else gcd b (rem a b)
+(* [a mod d] for a single limb [d] (0 < d < base), without building
+   the quotient [divmod_limb] would allocate. *)
+let rem_limb (a : t) d =
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    r := ((!r lsl base_bits) lor a.(i)) mod d
+  done;
+  !r
+
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+(* Euclid on limbs while an operand is wide; once both fit two limbs
+   (62 bits) the rest runs on native ints, and a single-limb divisor
+   takes one [rem_limb] pass before finishing natively. *)
+let rec gcd (a : t) (b : t) =
+  let la = Array.length a and lb = Array.length b in
+  if lb = 0 then a
+  else if la = 0 then b
+  else if la <= 2 && lb <= 2 then of_int (gcd_int (to_int_exn a) (to_int_exn b))
+  else if lb = 1 then of_int (gcd_int b.(0) (rem_limb a b.(0)))
+  else if la = 1 then of_int (gcd_int a.(0) (rem_limb b a.(0)))
+  else gcd b (rem a b)
 
 let sqrt (a : t) =
   if is_zero a then zero

@@ -19,10 +19,14 @@
     to {!Opt.Make.dp_no_cartesian} (cost and sequence) in both cost
     domains: the intermediate sizes [N(S)] are evaluated with the exact
     same lowest-bit-first multiplication order as the lattice
-    [fill_size], the candidate last-vertices of a subset are scanned in
-    the same ascending order with the same strict-improvement rule, and
-    a subset [S \ {j}] contributes a candidate iff it is connected —
-    which is exactly when the lattice's [dp] entry for it is finite.
+    [fill_size], the candidate last-vertices of a subset are collected
+    in the same ascending order, with the same ranked [min_w], and
+    settled by the lattice's own {!Opt.Make.argmin} (ranked [min_w],
+    float filter, strict-improvement rule — see {!Opt}), and a subset
+    [S \ {j}] contributes a candidate iff it is connected — which is
+    exactly when the lattice's [dp] entry for it is finite.
+    [ccp.dp.transitions] counts those candidates, [ccp.dp.exact_evals]
+    the ones the filter let through to exact arithmetic.
     Property-tested against the lattice in [test/test_qo.ml]. *)
 
 (* Shared across [Make] applications; [subsets_enumerated] counts the
@@ -32,6 +36,7 @@
 let c_runs = Obs.counter "ccp.dp.runs"
 let c_subsets = Obs.counter "ccp.dp.subsets_enumerated"
 let c_transitions = Obs.counter "ccp.dp.transitions"
+let c_exact_evals = Obs.counter "ccp.dp.exact_evals"
 let g_table = Obs.gauge "ccp.dp.table_entries"
 let g_idx_buckets = Obs.gauge "ccp.dp.idx_buckets"
 let g_idx_max_bucket = Obs.gauge "ccp.dp.idx_max_bucket"
@@ -317,35 +322,16 @@ module Make (C : Cost.S) = struct
             !acc
     in
     (* compact per-connected-subset tables *)
-    let sizes = Array.make (Stdlib.max 1 count) C.one in
+    let t = O.make_table ~entries:(Stdlib.max 1 count) ~evals:c_exact_evals inst in
     Array.iter
-      (fun layer -> Array.iter (fun s -> sizes.(Hashtbl.find idx s) <- size_of s) layer)
+      (fun layer -> Array.iter (fun s -> O.set_size t (Hashtbl.find idx s) (size_of s)) layer)
       layers;
     Obs.set g_size_memo (Hashtbl.length size_memo);
-    let dp = Array.make (Stdlib.max 1 count) C.infinity in
-    let parent = Array.make (Stdlib.max 1 count) (-1) in
-    Array.iter
-      (fun s ->
-        let i = Hashtbl.find idx s in
-        dp.(i) <- C.zero;
-        parent.(i) <- bit_index s)
-      layers.(1);
-    (* same transition, candidate order and tie-break as the lattice
-       [fill_dp]; a candidate exists iff [s \ {j}] is connected, i.e.
-       present in the table *)
-    let min_w_mask j s =
-      let best = ref C.infinity in
-      let row = inst.I.w.(j) in
-      let m = ref s in
-      while !m <> 0 do
-        let b = lowest_bit !m in
-        let c = row.(bit_index b) in
-        if C.compare c !best < 0 then best := c;
-        m := !m lxor b
-      done;
-      !best
-    in
-    let fill_dp s =
+    Array.iter (fun s -> O.set_singleton t (Hashtbl.find idx s) (bit_index s)) layers.(1);
+    (* same candidate order and ranked [min_w] as the lattice [fill_dp],
+       settled by the same {!Opt.Make.argmin}; a candidate exists iff
+       [s \ {j}] is connected, i.e. present in the table *)
+    let fill_dp buf s =
       let i = Hashtbl.find idx s in
       let m = ref s in
       let trans = ref 0 in
@@ -355,16 +341,13 @@ module Make (C : Cost.S) = struct
         let rest = s lxor b in
         (match Hashtbl.find_opt idx rest with
         | Some ri ->
-            incr trans;
-            let cand = C.add dp.(ri) (C.mul sizes.(ri) (min_w_mask j rest)) in
-            if C.compare cand dp.(i) < 0 then begin
-              dp.(i) <- cand;
-              parent.(i) <- j
-            end
+            buf.(!trans) <- O.cand ~ri ~j ~k:(O.first_in_mask t.O.rank.(j) rest);
+            incr trans
         | None -> ());
         m := !m lxor b
       done;
-      Obs.add c_transitions !trans
+      Obs.add c_transitions !trans;
+      O.argmin t i buf !trans
     in
     (* layer k only reads layer k-1 (dp, sizes) and writes its own
        slots, so the layers parallelise exactly like the lattice's
@@ -374,15 +357,16 @@ module Make (C : Cost.S) = struct
         for k = 2 to n do
           let layer = layers.(k) in
           let fill () =
-            Pool.parallel_for pool ~lo:0 ~hi:(Array.length layer - 1) (fun t ->
-                fill_dp layer.(t))
+            Pool.parallel_for pool ~lo:0 ~hi:(Array.length layer - 1) (fun x ->
+                fill_dp (Array.make n 0) layer.(x))
           in
           if Obs.enabled () then Obs.span ("ccp.dp.layer." ^ string_of_int k) fill
           else fill ()
         done
     | _ ->
+        let buf = Array.make n 0 in
         for k = 2 to n do
-          let fill () = Array.iter fill_dp layers.(k) in
+          let fill () = Array.iter (fill_dp buf) layers.(k) in
           if Obs.enabled () then Obs.span ("ccp.dp.layer." ^ string_of_int k) fill
           else fill ()
         done);
@@ -393,11 +377,11 @@ module Make (C : Cost.S) = struct
         let seq = Array.make n (-1) in
         let s = ref full in
         for pos = n - 1 downto 0 do
-          let j = parent.(Hashtbl.find idx !s) in
+          let j = t.O.parent.(Hashtbl.find idx !s) in
           seq.(pos) <- j;
           s := !s lxor (1 lsl j)
         done;
-        { O.cost = dp.(fi); seq }
+        { O.cost = t.O.dp.(fi); seq }
 
   (** Multi-word dp over [Graphlib.Bitset] subsets: the same table
       layout, size evaluation, transition and tie-break as the
@@ -455,32 +439,22 @@ module Make (C : Cost.S) = struct
             BH.add size_memo s !acc;
             !acc
     in
-    let sizes = Array.make (Stdlib.max 1 count) C.one in
+    let t = O.make_table ~entries:(Stdlib.max 1 count) ~evals:c_exact_evals inst in
     Array.iter
-      (fun layer -> Array.iter (fun s -> sizes.(BH.find idx s) <- size_of s) layer)
+      (fun layer -> Array.iter (fun s -> O.set_size t (BH.find idx s) (size_of s)) layer)
       layers;
     Obs.set g_size_memo (BH.length size_memo);
-    let dp = Array.make (Stdlib.max 1 count) C.infinity in
-    let parent = Array.make (Stdlib.max 1 count) (-1) in
-    Array.iter
-      (fun s ->
-        let i = BH.find idx s in
-        dp.(i) <- C.zero;
-        parent.(i) <- BS.lowest s)
-      layers.(1);
-    (* identical transition, candidate order (ascending = lowest bit
-       first) and strict-improvement tie-break as the single-word path *)
-    let min_w_set j s =
-      let best = ref C.infinity in
-      let row = inst.I.w.(j) in
-      BS.iter
-        (fun u ->
-          let c = row.(u) in
-          if C.compare c !best < 0 then best := c)
-        s;
-      !best
+    Array.iter (fun s -> O.set_singleton t (BH.find idx s) (BS.lowest s)) layers.(1);
+    (* identical candidate order (ascending = lowest bit first), ranked
+       [min_w] and {!Opt.Make.argmin} as the single-word path *)
+    let first_in_set rank s =
+      let x = ref 0 in
+      while not (BS.mem s rank.(!x)) do
+        incr x
+      done;
+      rank.(!x)
     in
-    let fill_dp s =
+    let fill_dp buf s =
       let i = BH.find idx s in
       let trans = ref 0 in
       let rest = BS.copy s in
@@ -489,31 +463,29 @@ module Make (C : Cost.S) = struct
           BS.remove rest j;
           (match BH.find_opt idx rest with
           | Some ri ->
-              incr trans;
-              let cand = C.add dp.(ri) (C.mul sizes.(ri) (min_w_set j rest)) in
-              if C.compare cand dp.(i) < 0 then begin
-                dp.(i) <- cand;
-                parent.(i) <- j
-              end
+              buf.(!trans) <- O.cand ~ri ~j ~k:(first_in_set t.O.rank.(j) rest);
+              incr trans
           | None -> ());
           BS.add rest j)
         s;
-      Obs.add c_transitions !trans
+      Obs.add c_transitions !trans;
+      O.argmin t i buf !trans
     in
     (match pool with
     | Some pool when Pool.jobs pool > 1 ->
         for k = 2 to n do
           let layer = layers.(k) in
           let fill () =
-            Pool.parallel_for pool ~lo:0 ~hi:(Array.length layer - 1) (fun t ->
-                fill_dp layer.(t))
+            Pool.parallel_for pool ~lo:0 ~hi:(Array.length layer - 1) (fun x ->
+                fill_dp (Array.make n 0) layer.(x))
           in
           if Obs.enabled () then Obs.span ("ccp.dp.layer." ^ string_of_int k) fill
           else fill ()
         done
     | _ ->
+        let buf = Array.make n 0 in
         for k = 2 to n do
-          let fill () = Array.iter fill_dp layers.(k) in
+          let fill () = Array.iter (fill_dp buf) layers.(k) in
           if Obs.enabled () then Obs.span ("ccp.dp.layer." ^ string_of_int k) fill
           else fill ()
         done);
@@ -524,11 +496,11 @@ module Make (C : Cost.S) = struct
         let seq = Array.make n (-1) in
         let s = full in
         for pos = n - 1 downto 0 do
-          let j = parent.(BH.find idx s) in
+          let j = t.O.parent.(BH.find idx s) in
           seq.(pos) <- j;
           BS.remove s j
         done;
-        { O.cost = dp.(fi); seq }
+        { O.cost = t.O.dp.(fi); seq }
 
   (** Exact optimum over cartesian-product-free join sequences by
       connected-subgraph DP; bit-identical to

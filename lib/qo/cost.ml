@@ -39,5 +39,16 @@ module type S = sig
   (** Base-2 log of the value, for reporting and rank comparisons:
       [neg_infinity] for zero, [infinity] for {!infinity}. *)
 
+  val approx : (t -> float) option
+  (** A float shadow of the domain for the exact DP kernels' filter
+      ({!Opt.Make.argmin}). [Some f] promises: [f 0 = 0.], and for
+      every other value [f] returns either a float within relative
+      error [4 * 2^-53] of it, or [nan] / [infinity] when it cannot
+      (the kernels then fall back to exact comparisons for that
+      subset). {!Rat_cost} opts in: its [compare] cross-multiplies
+      big integers, which a float pre-pass mostly avoids. {!Log_cost}
+      sets [None]: its [compare] already is a float compare, so a
+      shadow would only add work and memory. *)
+
   val pp : Format.formatter -> t -> unit
 end

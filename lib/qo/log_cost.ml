@@ -19,6 +19,9 @@ let is_finite t = Logreal.to_log2 t < Float.infinity
 let to_log2 = Logreal.to_log2
 let pp = Logreal.pp
 
+(* compare is already a float compare: nothing for a filter to save *)
+let approx = None
+
 (* Extras used when building instances directly in this domain. *)
 let of_log2 = Logreal.of_log2
 let of_float = Logreal.of_float

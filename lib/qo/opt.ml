@@ -14,7 +14,40 @@
     - {!Make.greedy}, {!Make.iterative_improvement},
       {!Make.simulated_annealing}: classical polynomial-time baselines
       whose competitive ratios experiment E9 measures against the
-      hardness prediction. *)
+      hardness prediction.
+
+    {b The exact transition.} The lattice DP and both {!Ccp} kernels
+    settle every subset [S] through one helper, {!Make.argmin}, over the
+    same table layout ({!Make.table}). Two things make it cheap without
+    changing a single plan bit:
+
+    - {e Ranked [min_w].} Each row [w.(j)] is sorted once per solve,
+      ascending by [(value, index)] with a stable sort ({!Make.rank_w}).
+      The minimum of [w.(j).(k)] over [S \ {j}] is the entry of the
+      first ranked [k] in the set: integer mask tests instead of a
+      [C.compare] scan, and among equal values still the lowest index.
+    - {e A float filter in front of the exact argmin} (domains with a
+      {!Cost.S.approx}, i.e. the rationals). Pass 1 computes a float
+      approximation [dpf(R) + sizef(R) * wf(j,k)] of every candidate
+      and their minimum [lo]; pass 2 walks the candidates in the usual
+      ascending order with the usual strict-[<] rule, but evaluates
+      exactly only those whose approximation is [<= lo * (1 + 1e-9)].
+      Soundness: [Bigq.to_float] errs by less than [4 * 2^-53]
+      relative on normal floats; one product and one sum of
+      non-negative terms keep each candidate's approximation [a]
+      within [d = 16 * 2^-53] of its exact cost [x]. A skipped
+      candidate has [x >= a / (1 + d) > lo (1 + 1e-9) / (1 + d)], and
+      the exact minimum is at most [lo / (1 - d)]. As
+      [(1 + 1e-9)(1 - d) > 1 + d] ([1e-9] dwarfs [2d ~ 3.6e-15]), every
+      skipped candidate is strictly greater than the exact minimum, so
+      the winner and the tie-break among exact equals are those of the
+      all-exact scan (rounding [lo * (1 + 1e-9)] itself costs a few
+      [2^-53], lost in that slack). The bound needs normal floats: a
+      subset with a non-finite approximation (past [2^1024]), a NaN
+      one (a value below [Float.min_float]) or a product
+      [sizef * wf] that underflows takes the all-exact scan.
+      [opt.dp.transitions] still counts every admissible candidate;
+      [opt.dp.exact_evals] counts the exact evaluations. *)
 
 (* Shared across every [Make] application (the functor is applied once
    per cost domain in [Instances] and again inside [Ccp.Make]);
@@ -23,6 +56,7 @@
 let c_dp_runs = Obs.counter "opt.dp.runs"
 let c_dp_subsets = Obs.counter "opt.dp.subsets"
 let c_dp_transitions = Obs.counter "opt.dp.transitions"
+let c_dp_exact_evals = Obs.counter "opt.dp.exact_evals"
 
 module Make (C : Cost.S) = struct
   module I = Nl.Make (C)
@@ -80,6 +114,143 @@ module Make (C : Cost.S) = struct
 
   (* ------------------------------------------------------------- *)
 
+  (* ------------------------------------------------------------- *)
+  (* The exact transition shared by the lattice DP and both {!Ccp}
+     kernels: one table layout, one ranked [min_w], one filtered
+     argmin. *)
+
+  (** [rank_w w] orders each row [w.(j)] once: [rank.(j)] lists every
+      [k <> j] ascending by [(w.(j).(k), k)] (a stable sort over
+      ascending [k]). The minimum of [w.(j).(k)] over a set [S] not
+      containing [j] is then [w.(j).(k)] for the first [k] of
+      [rank.(j)] in [S]: the same value and, among equal values, the
+      same lowest index as a strict-[<] scan of [S] in ascending order. *)
+  let rank_w (w : C.t array array) =
+    let n = Array.length w in
+    Array.init n (fun j ->
+        let row = w.(j) in
+        let ks = Array.init (n - 1) (fun x -> if x < j then x else x + 1) in
+        Array.stable_sort (fun a b -> C.compare row.(a) row.(b)) ks;
+        ks)
+
+  (** First entry of [rank] with its bit set in the int mask [s]
+      ([s] must meet [rank]). *)
+  let first_in_mask (rank : int array) s =
+    let x = ref 0 in
+    while s land (1 lsl rank.(!x)) = 0 do
+      incr x
+    done;
+    rank.(!x)
+
+  let approx = match C.approx with Some f -> f | None -> fun _ -> Float.nan
+
+  (** Per-run DP table, indexed by lattice mask or compact csg index.
+      [dpf]/[sizef]/[wf] are the float shadows the filter reads
+      ({!Cost.S.approx}); they are empty when the domain has none. *)
+  type table = {
+    dp : C.t array;
+    parent : int array;
+    sizes : C.t array;
+    w : C.t array array;
+    rank : int array array;
+    dpf : float array;
+    sizef : float array;
+    wf : float array array;
+    evals : Obs.counter;
+  }
+
+  let make_table ~entries ~evals (inst : I.t) =
+    let shadow = Option.is_some C.approx in
+    {
+      dp = Array.make entries C.infinity;
+      parent = Array.make entries (-1);
+      sizes = Array.make entries C.one;
+      w = inst.I.w;
+      rank = rank_w inst.I.w;
+      dpf = (if shadow then Array.make entries Float.nan else [||]);
+      sizef = (if shadow then Array.make entries (approx C.one) else [||]);
+      wf = (if shadow then Array.map (Array.map approx) inst.I.w else [||]);
+      evals;
+    }
+
+  let filtered t = Array.length t.dpf > 0
+
+  let set_size t i v =
+    t.sizes.(i) <- v;
+    if filtered t then t.sizef.(i) <- approx v
+
+  (* entry [i] is the singleton [{v}] *)
+  let set_singleton t i v =
+    t.dp.(i) <- C.zero;
+    t.parent.(i) <- v;
+    if filtered t then t.dpf.(i) <- 0.0
+
+  (** A candidate of a transition: last vertex [j], the table index
+      [ri] of [S \ {j}], and [k], the ranked argmin of [w.(j)] over
+      [S \ {j}], packed in one int ([j], [k] < 256 = [Ccp.max_ccp_n]). *)
+  let cand ~ri ~j ~k = (ri lsl 16) lor (j lsl 8) lor k
+
+  (* Relative tolerance of the filter; see [argmin]. *)
+  let filter_margin = 1e-9
+
+  let eval_exact t i c =
+    let ri = c lsr 16 and j = (c lsr 8) land 0xff in
+    let x = C.add t.dp.(ri) (C.mul t.sizes.(ri) t.w.(j).(c land 0xff)) in
+    if C.compare x t.dp.(i) < 0 then begin
+      t.dp.(i) <- x;
+      t.parent.(i) <- j
+    end
+
+  (** [argmin t i buf m] settles entry [i] from its [m] admissible
+      candidates [buf.(0 .. m-1)] (built by {!cand}, ascending in [j]):
+      the first candidate, in that order, of least exact cost
+      [dp(R) + N(R) * w(j,k)] becomes [dp.(i)] / [parent.(i)]. Without
+      a float shadow every candidate is evaluated exactly; with one,
+      the two-pass filter of the module header skips the candidates
+      whose approximation exceeds [lo * (1 + filter_margin)], and a
+      non-finite, NaN or underflowed approximation sends the whole
+      subset to the all-exact scan. *)
+  let argmin t i buf m =
+    (* pass 1: [thr = lo * (1 + margin)], or [nan] for the all-exact scan *)
+    let thr =
+      if not (filtered t) then Float.nan
+      else begin
+        let lo = ref Float.infinity and x = ref 0 in
+        while !x < m do
+          let c = buf.(!x) in
+          let ri = c lsr 16 in
+          let p = t.sizef.(ri) *. t.wf.((c lsr 8) land 0xff).(c land 0xff) in
+          let a = t.dpf.(ri) +. p in
+          if p >= Float.min_float && a < Float.infinity then begin
+            if a < !lo then lo := a;
+            incr x
+          end
+          else begin
+            lo := Float.nan;
+            x := m
+          end
+        done;
+        !lo *. (1.0 +. filter_margin)
+      end
+    in
+    (* pass 2: the exact strict-[<] scan over the survivors *)
+    let evals = ref 0 in
+    for x = 0 to m - 1 do
+      let c = buf.(x) in
+      let ri = c lsr 16 in
+      if
+        Float.is_nan thr
+        || t.dpf.(ri) +. (t.sizef.(ri) *. t.wf.((c lsr 8) land 0xff).(c land 0xff)) <= thr
+      then begin
+        incr evals;
+        eval_exact t i c
+      end
+    done;
+    if filtered t then t.dpf.(i) <- approx t.dp.(i);
+    Obs.add t.evals !evals
+
+  (* ------------------------------------------------------------- *)
+
   let max_dp_n = 23
 
   (* The subset-lattice DP, sequential or layer-parallel.
@@ -125,13 +296,13 @@ module Make (C : Cost.S) = struct
       done;
       !i
     in
+    let t = make_table ~entries:(full + 1) ~evals:c_dp_exact_evals inst in
     (* N(S) for every subset *)
-    let sizes = Array.make (full + 1) C.one in
     let fill_size s =
       let b = lowest_bit s in
       let v = bit_index b in
       let rest = s lxor b in
-      let acc = ref (C.mul sizes.(rest) inst.I.sizes.(v)) in
+      let acc = ref (C.mul t.sizes.(rest) inst.I.sizes.(v)) in
       let common = ref (rest land adj.(v)) in
       let row = inst.I.sel.(v) in
       while !common <> 0 do
@@ -139,29 +310,14 @@ module Make (C : Cost.S) = struct
         acc := C.mul !acc row.(bit_index ub);
         common := !common lxor ub
       done;
-      sizes.(s) <- !acc
+      set_size t s !acc
     in
-    (* min_{k in S} w_{j,k} over mask S *)
-    let min_w_mask j s =
-      let best = ref C.infinity in
-      let row = inst.I.w.(j) in
-      let m = ref s in
-      while !m <> 0 do
-        let b = lowest_bit !m in
-        let v = best and c = row.(bit_index b) in
-        if C.compare c !v < 0 then best := c;
-        m := !m lxor b
-      done;
-      !best
-    in
-    let dp = Array.make (full + 1) C.infinity in
-    let parent = Array.make (full + 1) (-1) in
     for v = 0 to n - 1 do
-      dp.(1 lsl v) <- C.zero;
-      parent.(1 lsl v) <- v
+      set_singleton t (1 lsl v) v
     done;
-    (* transition for a subset with >= 2 elements *)
-    let fill_dp s =
+    (* transition for a subset with >= 2 elements; [buf] holds its
+       admissible candidates *)
+    let fill_dp buf s =
       let m = ref s in
       let trans = ref 0 in
       while !m <> 0 do
@@ -169,17 +325,14 @@ module Make (C : Cost.S) = struct
         let j = bit_index b in
         let rest = s lxor b in
         let allowed = (not no_cartesian) || rest land adj.(j) <> 0 in
-        if allowed && C.is_finite dp.(rest) then begin
-          incr trans;
-          let cand = C.add dp.(rest) (C.mul sizes.(rest) (min_w_mask j rest)) in
-          if C.compare cand dp.(s) < 0 then begin
-            dp.(s) <- cand;
-            parent.(s) <- j
-          end
+        if allowed && C.is_finite t.dp.(rest) then begin
+          buf.(!trans) <- cand ~ri:rest ~j ~k:(first_in_mask t.rank.(j) rest);
+          incr trans
         end;
         m := !m lxor b
       done;
-      Obs.add c_dp_transitions !trans
+      Obs.add c_dp_transitions !trans;
+      argmin t s buf !trans
     in
     (match pool with
     | Some pool when Pool.jobs pool > 1 && n >= dp_parallel_min_n ->
@@ -215,7 +368,7 @@ module Make (C : Cost.S) = struct
         for k = 2 to n do
           let layer () =
             Pool.parallel_for pool ~lo:off.(k) ~hi:(off.(k + 1) - 1) (fun idx ->
-                fill_dp by_layer.(idx))
+                fill_dp (Array.make n 0) by_layer.(idx))
           in
           (* dynamic name: only pay the sprintf when spans record *)
           if Obs.enabled () then Obs.span ("opt.dp.layer." ^ string_of_int k) layer
@@ -225,21 +378,22 @@ module Make (C : Cost.S) = struct
         for s = 1 to full do
           fill_size s
         done;
+        let buf = Array.make n 0 in
         for s = 1 to full do
           (* only consider subsets with >= 2 elements *)
-          if s land (s - 1) <> 0 then fill_dp s
+          if s land (s - 1) <> 0 then fill_dp buf s
         done);
     (* reconstruct *)
-    if not (C.is_finite dp.(full)) then { cost = C.infinity; seq = [||] }
+    if not (C.is_finite t.dp.(full)) then { cost = C.infinity; seq = [||] }
     else begin
       let seq = Array.make n (-1) in
       let s = ref full in
       for pos = n - 1 downto 0 do
-        let j = parent.(!s) in
+        let j = t.parent.(!s) in
         seq.(pos) <- j;
         s := !s lxor (1 lsl j)
       done;
-      { cost = dp.(full); seq }
+      { cost = t.dp.(full); seq }
     end
 
   (** Exact optimum by subset DP. With [?pool] (and more than one

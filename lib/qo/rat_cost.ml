@@ -60,6 +60,17 @@ let to_log2 = function
   | Fin q -> Bigq.log2 q
   | Inf -> Float.infinity
 
+(* [Bigq.to_float] keeps its error bound only while the result is a
+   normal float; below that (subnormal or flushed to zero) it answers
+   [nan] so the kernels take the exact path. *)
+let approx =
+  Some
+    (function
+    | Fin q ->
+        let f = Bigq.to_float q in
+        if f >= Float.min_float || Bigq.is_zero q then f else Float.nan
+    | Inf -> Float.infinity)
+
 let to_bigq_opt = function Fin q -> Some q | Inf -> None
 
 let pp fmt = function

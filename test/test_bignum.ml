@@ -175,6 +175,121 @@ let prop_bigq_pow =
       Bigq.equal (Bigq.pow x e) (naive Bigq.one e)
       && Bigq.equal (Bigq.pow x (-e)) (Bigq.inv (naive Bigq.one e)))
 
+(* Bigq.to_float once divided two separately rounded floats, so a
+   moderate value with a numerator and denominator beyond the float
+   range came out as inf /. inf = nan. *)
+let test_bigq_to_float_huge_parts () =
+  let q = Bigq.div (Bigq.pow (Bigq.of_int 3) 700) (Bigq.pow (Bigq.of_int 2) 1100) in
+  let f = Bigq.to_float q in
+  Alcotest.(check bool) "finite" true (Float.is_finite f);
+  Alcotest.(check (float 1e-9)) "matches log2" (Bigq.log2 q) (Float.log2 f);
+  Alcotest.(check (float 1e-9)) "neg" (-.f) (Bigq.to_float (Bigq.neg q));
+  Alcotest.(check (float 0.)) "out of range above" Float.infinity
+    (Bigq.to_float (Bigq.pow (Bigq.of_int 2) 1100));
+  Alcotest.(check (float 0.)) "out of range below" 0.0
+    (Bigq.to_float (Bigq.pow (Bigq.of_int 2) (-1100)))
+
+(* The exact rational a float stands for. *)
+let bigq_of_float x =
+  let m, e = Float.frexp x in
+  Bigq.mul (Bigq.of_int (int_of_float (Float.ldexp m 53))) (Bigq.pow (Bigq.of_int 2) (e - 53))
+
+(* Reference arithmetic: textbook cross products, reduced once by
+   [Bigq.make]. *)
+module Ref = struct
+  let n = Bigq.num
+  let d q = Bigint.of_nat (Bigq.den q)
+  let ( * ) = Bigint.mul
+  let add a b = Bigq.make (Bigint.add (n a * d b) (n b * d a)) (d a * d b)
+  let sub a b = Bigq.make (Bigint.sub (n a * d b) (n b * d a)) (d a * d b)
+  let mul a b = Bigq.make (n a * n b) (d a * d b)
+  let div a b = Bigq.make (n a * d b) (d a * n b)
+  let compare a b = Bigint.compare (n a * d b) (n b * d a)
+end
+
+(* Magnitudes at the 31/62/93-bit limb boundaries and far beyond. *)
+let boundary_nat st =
+  let bits =
+    [| 1; 2; 7; 30; 31; 32; 61; 62; 63; 92; 93; 94; 150; 1100; 1101 |].(Random.State.int st 15)
+  in
+  let p = Bignat.shift_left Bignat.one bits in
+  match Random.State.int st 4 with
+  | 0 -> p
+  | 1 -> Bignat.sub p Bignat.one
+  | 2 -> Bignat.add p Bignat.one
+  | _ ->
+      (* a random [bits]-bit value, built 30 bits at a time *)
+      let rec go acc k =
+        if k <= 0 then acc
+        else go (Bignat.add (Bignat.shift_left acc 30) (Bignat.of_int (Random.State.bits st))) (k - 30)
+      in
+      Bignat.max Bignat.one (Bignat.shift_right (go Bignat.zero bits) (Stdlib.max 0 (((bits + 29) / 30 * 30) - bits)))
+
+let random_bigq st =
+  let num () =
+    let m = if Random.State.int st 3 = 0 then Bignat.of_int (Random.State.int st 20) else boundary_nat st in
+    if Random.State.bool st then Bigint.neg (Bigint.of_nat m) else Bigint.of_nat m
+  in
+  match Random.State.int st 5 with
+  | 0 -> Bigq.zero
+  | 1 -> Bigq.of_bigint (num ())
+  | _ -> Bigq.make (num ()) (Bigint.of_nat (boundary_nat st))
+
+let test_bigq_fast_paths () =
+  let st = Random.State.make [| 20261018 |] in
+  let agree what got want =
+    if not (Bigq.equal got want && Bigq.to_string got = Bigq.to_string want) then
+      Alcotest.failf "%s: got %s, want %s" what (Bigq.to_string got) (Bigq.to_string want)
+  in
+  for _ = 1 to 3000 do
+    let a = random_bigq st in
+    let b =
+      match Random.State.int st 4 with
+      | 0 -> Ref.add a (Bigq.of_int (Random.State.int st 100 - 50)) (* same denominator *)
+      | 1 -> Bigq.neg a
+      | _ -> random_bigq st
+    in
+    agree "add" (Bigq.add a b) (Ref.add a b);
+    agree "sub" (Bigq.sub a b) (Ref.sub a b);
+    agree "mul" (Bigq.mul a b) (Ref.mul a b);
+    if not (Bigq.is_zero b) then agree "div" (Bigq.div a b) (Ref.div a b);
+    Alcotest.(check int) "compare" (Ref.compare a b) (Int.compare (Bigq.compare a b) 0);
+    (* to_float within 4 ulps-of-2^-53 relative whenever it is a normal float *)
+    let f = Bigq.to_float a in
+    if Float.abs f >= Float.min_float && Float.is_finite f then begin
+      let err = Bigq.abs (Bigq.sub (bigq_of_float f) a) in
+      if Bigq.compare (Bigq.mul err (Bigq.pow (Bigq.of_int 2) 51)) (Bigq.abs a) > 0 then
+        Alcotest.failf "to_float %s = %h" (Bigq.to_string a) f
+    end
+  done
+
+let test_gcd_native_finish () =
+  let rec euclid a b = if Bignat.is_zero b then a else euclid b (Bignat.rem a b) in
+  let st = Random.State.make [| 62 |] in
+  let around e =
+    let p = Bignat.shift_left Bignat.one e in
+    [ Bignat.sub p Bignat.one; p; Bignat.add p Bignat.one ]
+  in
+  let pool =
+    List.concat_map around [ 30; 31; 32; 61; 62; 63; 93 ]
+    @ List.init 6 (fun _ -> Bignat.of_int (1 + Random.State.int st 1_000_000))
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          List.iter
+            (fun g ->
+              let a = Bignat.mul a g and b = Bignat.mul b g in
+              let want = euclid a b in
+              Alcotest.(check nat) "gcd" want (Bignat.gcd a b);
+              Alcotest.(check nat) "gcd swapped" want (Bignat.gcd b a))
+            [ Bignat.one; Bignat.of_int 6; Bignat.shift_left Bignat.one 31 ])
+        pool)
+    pool;
+  Alcotest.(check nat) "gcd 0 x" (Bignat.of_int 5) (Bignat.gcd Bignat.zero (Bignat.of_int 5));
+  Alcotest.(check nat) "gcd x 0" (Bignat.of_int 5) (Bignat.gcd (Bignat.of_int 5) Bignat.zero)
+
 (* -------------------- Fixed -------------------- *)
 
 let test_fixed_exp () =
@@ -291,10 +406,16 @@ let () =
           Alcotest.test_case "knuth divmod" `Quick test_divmod_knuth;
           Alcotest.test_case "shifts and bits" `Quick test_shifts;
           Alcotest.test_case "sqrt and log2" `Quick test_sqrt_log2;
+          Alcotest.test_case "gcd vs plain Euclid" `Quick test_gcd_native_finish;
         ] );
       ( "bigint",
         [ Alcotest.test_case "signs and euclidean division" `Quick test_bigint_signs ] );
-      ("bigq", [ Alcotest.test_case "basics" `Quick test_bigq_basics ]);
+      ( "bigq",
+        [
+          Alcotest.test_case "basics" `Quick test_bigq_basics;
+          Alcotest.test_case "to_float with huge parts" `Quick test_bigq_to_float_huge_parts;
+          Alcotest.test_case "fast paths vs reference" `Quick test_bigq_fast_paths;
+        ] );
       ( "fixed",
         [
           Alcotest.test_case "exp_ceil vs float" `Quick test_fixed_exp;

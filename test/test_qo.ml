@@ -386,6 +386,196 @@ let test_ccp_infeasible () =
   Alcotest.(check bool) "summary reports infeasibility" true
     (Astring_like.contains (Qo.Explain.Rat.summary inst b.OR_.seq) "infeasible")
 
+(* ------------- the float filter of the exact kernels ------------- *)
+
+(* Opt.Make.argmin evaluates exactly only the candidates whose float
+   shadow is within a relative 1e-9 of the best shadow, and falls back
+   to the all-exact scan when a shadow is not finite. These cases aim
+   at its edges: exact ties everywhere, shadows that collide or invert
+   while the exact values differ, and shadows that overflow or
+   underflow. The reference is an independent exact subset DP that
+   evaluates every candidate with a plain [min_w] scan. *)
+
+let naive_dp ~no_cartesian (inst : NR.t) =
+  let n = inst.NR.n and full = (1 lsl inst.NR.n) - 1 in
+  let edge = Graphlib.Ugraph.has_edge inst.NR.graph in
+  let mem s k = s land (1 lsl k) <> 0 in
+  let size = Array.make (full + 1) RC.one in
+  let dp = Array.make (full + 1) RC.infinity and par = Array.make (full + 1) (-1) in
+  for s = 1 to full do
+    let v = ref 0 in
+    while not (mem s !v) do incr v done;
+    let rest = s lxor (1 lsl !v) in
+    size.(s) <- RC.mul size.(rest) inst.NR.sizes.(!v);
+    for u = 0 to n - 1 do
+      if mem rest u && edge !v u then size.(s) <- RC.mul size.(s) inst.NR.sel.(!v).(u)
+    done;
+    if rest = 0 then (dp.(s) <- RC.zero; par.(s) <- !v)
+    else
+      for j = 0 to n - 1 do
+        let rest = s lxor (1 lsl j) in
+        let linked = List.exists (fun u -> mem rest u && edge j u) (List.init n Fun.id) in
+        if mem s j && RC.is_finite dp.(rest) && ((not no_cartesian) || linked) then begin
+          let mw = ref RC.infinity in
+          for k = 0 to n - 1 do
+            if mem rest k && RC.compare inst.NR.w.(j).(k) !mw < 0 then mw := inst.NR.w.(j).(k)
+          done;
+          let c = RC.add dp.(rest) (RC.mul size.(rest) !mw) in
+          if RC.compare c dp.(s) < 0 then (dp.(s) <- c; par.(s) <- j)
+        end
+      done
+  done;
+  if not (RC.is_finite dp.(full)) then (RC.infinity, [||])
+  else begin
+    let seq = Array.make n (-1) and s = ref full in
+    for pos = n - 1 downto 0 do
+      seq.(pos) <- par.(!s);
+      s := !s lxor (1 lsl par.(!s))
+    done;
+    (dp.(full), seq)
+  end
+
+(* every exact kernel against [naive_dp], cost and sequence *)
+let check_kernels label inst =
+  let cost_str c = Format.asprintf "%a" RC.pp c in
+  let same what (c, s) (p : OR_.plan) =
+    Alcotest.(check string) (label ^ " " ^ what ^ " cost") (cost_str c) (cost_str p.OR_.cost);
+    Alcotest.(check (array int)) (label ^ " " ^ what ^ " seq") s p.OR_.seq
+  in
+  let all = naive_dp ~no_cartesian:false inst and nc = naive_dp ~no_cartesian:true inst in
+  same "dp" all (OR_.dp inst);
+  same "dp_no_cartesian" nc (OR_.dp_no_cartesian inst);
+  same "ccp" nc (CCPR.dp_connected inst);
+  same "ccp words" nc (CCPR.dp_connected_words inst)
+
+let q_pow2 e = Bignum.Bigq.pow (Bignum.Bigq.of_int 2) e
+let q_add_int q i = Bignum.Bigq.add q (Bignum.Bigq.of_int i)
+
+(* an instance over [graph] from per-vertex sizes, a per-edge
+   selectivity and, per ordered edge, a pick between the two ends of
+   the admissible access-cost range [t s, t] *)
+let build ~graph ~sizes ~sel_of ~low_w =
+  let n = Array.length sizes in
+  let sel = Array.make_matrix n n RC.one in
+  List.iter
+    (fun (i, j) ->
+      let s = sel_of i j in
+      sel.(i).(j) <- s;
+      sel.(j).(i) <- s)
+    (Graphlib.Ugraph.edges graph);
+  let w =
+    Array.init n (fun i ->
+        Array.init n (fun j ->
+            if i <> j && Graphlib.Ugraph.has_edge graph i j && low_w i j then
+              RC.mul sizes.(i) sel.(i).(j)
+            else sizes.(i)))
+  in
+  NR.make ~graph ~sel ~sizes ~w
+
+let filter_graphs n =
+  [
+    ("clique", Graphlib.Ugraph.complete n);
+    ("chain", Graphlib.Gen.path n);
+    ("star", Graphlib.Gen.star n);
+    ("cycle", Graphlib.Gen.cycle n);
+  ]
+
+(* (a) every candidate of a subset ties exactly: the first-index rule
+   must survive the filter *)
+let test_filter_all_ties () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (name, graph) ->
+          let inst =
+            NR.uniform ~graph ~size:(RC.of_int 64) ~edge_sel:(RC.of_ints 1 4)
+              ~edge_w:(RC.of_int 16)
+          in
+          check_kernels (Printf.sprintf "uniform %s n=%d" name n) inst)
+        (filter_graphs n))
+    [ 3; 5; 7 ]
+
+(* (b) shadows that collide or invert while the exact values differ *)
+let test_filter_near_ties () =
+  (* Two relations r = 0, j = 1. Exact: last j costs t_r * 1 =
+     2^61 + 257, last r costs t_j * (1 + 2^-60) = 2^61 + 257 + ~2^-52,
+     so last j wins. Shadows: t_r rounds up to 2^61 + 512 while t_j
+     and 1 + 2^-60 round down, so the loser's shadow (2^61) is below
+     the winner's: only the margin keeps the winner in the exact pass. *)
+  let t_r = Bignum.Bigq.(add (q_pow2 61) (of_int 257))
+  and t_j = Bignum.Bigq.(add (q_pow2 61) (of_int 255)) in
+  let d = Bignum.Bigq.(add one (inv (q_pow2 60))) in
+  let s = RC.of_bigq (Bignum.Bigq.inv (q_pow2 62)) in
+  let graph = Graphlib.Gen.path 2 in
+  let inverted =
+    NR.make ~graph
+      ~sel:[| [| RC.one; s |]; [| s; RC.one |] |]
+      ~sizes:[| RC.of_bigq t_r; RC.of_bigq t_j |]
+      ~w:[| [| RC.of_bigq t_r; RC.of_bigq d |]; [| RC.one; RC.of_bigq t_j |] |]
+  in
+  check_kernels "inverted shadows" inverted;
+  (* sizes 2^61 and 2^61 + 1 share one shadow; selectivities 1/2 and
+     access costs at either end of their range keep the exact values
+     apart by far less than a float ulp *)
+  List.iter
+    (fun seed ->
+      let st = Random.State.make [| seed; 61 |] in
+      List.iter
+        (fun (name, graph) ->
+          let n = Graphlib.Ugraph.vertex_count graph in
+          let sizes =
+            Array.init n (fun _ -> RC.of_bigq (q_add_int (q_pow2 61) (Random.State.int st 2)))
+          in
+          let inst =
+            build ~graph ~sizes ~sel_of:(fun _ _ -> RC.of_ints 1 2)
+              ~low_w:(fun _ _ -> Random.State.bool st)
+          in
+          check_kernels (Printf.sprintf "2^61 %s seed %d" name seed) inst)
+        (filter_graphs (5 + (seed mod 3))))
+    [ 1; 2; 3; 4; 5; 6 ]
+
+(* (c) shadows out of float range: the subset takes the exact scan *)
+let test_filter_out_of_range () =
+  (* r = 0 with t_r = 2^1100 (shadow inf) and j = 1 with t_j = 2^-100:
+     last j costs t_r * 2^-1000 = 2^100 exactly but its shadow is inf;
+     last r costs t_j * 2^300 = 2^200 with a finite shadow. Skipping
+     the inf candidate would return the wrong plan. *)
+  let t_r = q_pow2 1100 and t_j = Bignum.Bigq.inv (q_pow2 100) in
+  let s = RC.of_bigq (Bignum.Bigq.inv (q_pow2 1200)) in
+  let graph = Graphlib.Gen.path 2 in
+  let overflow =
+    NR.make ~graph
+      ~sel:[| [| RC.one; s |]; [| s; RC.one |] |]
+      ~sizes:[| RC.of_bigq t_r; RC.of_bigq t_j |]
+      ~w:
+        [|
+          [| RC.of_bigq t_r; RC.of_bigq (q_pow2 300) |];
+          [| RC.of_bigq (Bignum.Bigq.inv (q_pow2 1000)); RC.of_bigq t_j |];
+        |]
+  in
+  check_kernels "inf shadow wins" overflow;
+  List.iter
+    (fun seed ->
+      let st = Random.State.make [| seed; 1100 |] in
+      List.iter
+        (fun (name, graph) ->
+          let n = Graphlib.Ugraph.vertex_count graph in
+          let huge () = q_add_int (q_pow2 1100) (Random.State.int st 1000) in
+          let big = Array.init n (fun _ -> RC.of_bigq (huge ())) in
+          let tiny = Array.init n (fun _ -> RC.of_bigq (Bignum.Bigq.inv (huge ()))) in
+          let mixed = Array.init n (fun i -> if i mod 2 = 0 then big.(i) else RC.of_int (1 + i)) in
+          List.iter
+            (fun (scale, sizes) ->
+              let inst =
+                build ~graph ~sizes
+                  ~sel_of:(fun _ _ -> RC.of_ints 1 (2 + Random.State.int st 8))
+                  ~low_w:(fun _ _ -> Random.State.bool st)
+              in
+              check_kernels (Printf.sprintf "%s %s seed %d" scale name seed) inst)
+            [ ("2^1100", big); ("2^-1100", tiny); ("mixed", mixed) ])
+        (filter_graphs 6))
+    [ 1; 2 ]
+
 (* ------------- multi-word subsets + subset convolution ------------- *)
 
 module CVR = Qo.Instances.Conv_rat
@@ -826,6 +1016,9 @@ let () =
           Alcotest.test_case "disconnected graph is infeasible" `Quick test_ccp_infeasible;
           Alcotest.test_case "csg counts on known families" `Quick test_csg_count;
           Alcotest.test_case "csg_count_bounded contract" `Quick test_csg_count_bounded;
+          Alcotest.test_case "filter: all candidates tie" `Quick test_filter_all_ties;
+          Alcotest.test_case "filter: near-tie shadows" `Quick test_filter_near_ties;
+          Alcotest.test_case "filter: out-of-range shadows" `Quick test_filter_out_of_range;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [
